@@ -29,6 +29,7 @@ from .core import (
     from_digits,
     from_rational,
     ilog,
+    int_to_decimal,
     is_prime,
     make_pair,
     truncation_integer,
@@ -352,7 +353,16 @@ def schneider_ledger_csv(state: SchneiderState, path: str | Path) -> None:
                 ledger = str(state.ledger_valuation(n))
             except IndexError:
                 ledger = ""
-            writer.writerow([n, str(num), str(den), state.gs[n - 1], str(state.height(n)), ledger])
+            writer.writerow(
+                [
+                    n,
+                    int_to_decimal(num),
+                    int_to_decimal(den),
+                    state.gs[n - 1],
+                    int_to_decimal(state.height(n)),
+                    ledger,
+                ]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +440,7 @@ def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
     p = zeta.p
     corrections = []
     for nu, tau in spec.intervals():
-        block = sum(digits[i] * p**i for i in range(nu, tau + 1) if digits[i])
+        block = zeta.value // p**nu % p ** (tau - nu + 1) * p**nu
         corrections.append(block - p**nu - p**tau)
         for i in range(nu + 1, tau):
             digits[i] = 0

@@ -13,6 +13,7 @@ data.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +27,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Below this many digits the quadratic schoolbook conversion wins.
 _NAIVE_DIGIT_THRESHOLD = 128
+
+# Chunk sizes for decimal text, well inside CPython's 4300-digit limit on
+# int <-> str conversion (3000 digits; 9000 bits is about 2710 digits).
+_DECIMAL_CHUNK_DIGITS = 3000
+_DECIMAL_CHUNK_BITS = 9000
 
 
 def is_prime(n: int) -> bool:
@@ -54,18 +60,32 @@ def is_prime(n: int) -> bool:
 
 
 def pval(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer.
+
+    For p = 2 the lowest set bit gives it directly.  Otherwise n is divided
+    by p, p^2, p^4, ... while they divide it, then by the same powers in
+    reverse order (a binary search on the exponent), so a valuation v costs
+    O(log v) divisions instead of v.
+    """
     if n == 0:
         raise ValueError("valuation of zero is undefined")
-    n = abs(n)
-    v = 0
-    chunk = p**64
-    while n % chunk == 0:
-        n //= chunk
-        v += 64
-    while n % p == 0:
-        n //= p
-        v += 1
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
+    n //= p
+    v = 1
+    ladder = [(p, 1)]
+    power, e = p * p, 2
+    while n % power == 0:
+        n //= power
+        v += e
+        ladder.append((power, e))
+        power, e = power * power, 2 * e
+    for power, e in reversed(ladder):
+        if n % power == 0:
+            n //= power
+            v += e
     return v
 
 
@@ -113,6 +133,64 @@ def _int_to_digits(n: int, p: int, count: int) -> list[int]:
     half = count // 2
     q, r = divmod(n, p**half)
     return _int_to_digits(r, p, half) + _int_to_digits(q, p, count - half)
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal text of ``n``, identical to ``str(n)`` at any length.
+
+    CPython refuses ``str`` on integers past 4300 digits (a process-wide
+    setting that this module leaves alone).  Longer integers are split into
+    binary halves that are recombined in ``decimal`` arithmetic, whose
+    multiplication is sub-quadratic, and printed once.
+    """
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= _DECIMAL_CHUNK_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _DECIMAL_CHUNK_BITS:
+            return decimal.Decimal(m)
+        half = bits >> 1
+        high = m >> half
+        low = m - (high << half)
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        return convert(high, bits - half) * powers[half] + convert(low, half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def decimal_to_int(text: str) -> int:
+    """Parse decimal text written by :func:`int_to_decimal` (any length).
+
+    Text up to the chunk size goes straight to ``int``; longer text must be
+    an optional sign and ASCII digits, and is parsed in halves joined by
+    one (Karatsuba) multiplication per split.
+    """
+    if len(text) <= _DECIMAL_CHUNK_DIGITS:
+        return int(text)
+    sign = -1 if text[0] == "-" else 1
+    body = text[1:] if text[0] in "+-" else text
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid decimal integer {text[:32]!r}...")
+    powers: dict[int, int] = {}
+
+    def parse(start: int, stop: int) -> int:
+        if stop - start <= _DECIMAL_CHUNK_DIGITS:
+            return int(body[start:stop])
+        low_len = (stop - start) >> 1
+        mid = stop - low_len
+        if low_len not in powers:
+            powers[low_len] = 10**low_len
+        return parse(start, mid) * powers[low_len] + parse(mid, stop)
+
+    return sign * parse(0, len(body))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ Two chain flavours are supported:
 * classical chains minimise the sup height ``max(|x|, |y|)``;
 * multiplicative chains minimise the product ``|x * y|``.
 
-Per-level minimisers come from a continued-fraction style walk on the
-congruence lattice ``{(x, y) : x = y * r (mod p^v)}``.  Chains assemble the
-minimisers into the staircase of record pairs (strictly increasing heights
-and valuations).  Exhaustive enumeration oracles rebuild the same chains
-from scratch so the fast path can be cross-validated, and ``uniform_minimum``
-evaluates the uniform (min-over-a-box) side of the problem.
+Per-level minimisers on the congruence lattices ``{(x, y) : x = y * xi
+(mod p^v)}`` come from :mod:`padiclab.walk`: a reduced basis carried from
+level to level for the sup norm (de Weger 1986; Kaib & Schnorr 1996), a
+continued-fraction walk per visited level for the product norm.  Chains
+assemble the minimisers into the staircase of record pairs
+(strictly increasing heights and valuations).  Exhaustive enumeration
+oracles rebuild the same chains from scratch so the fast path can be
+cross-validated, and ``uniform_minimum`` evaluates the uniform
+(min-over-a-box) side of the problem.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from .core import (
     ApproxPair,
     PAdicNumber,
     Valuation,
+    decimal_to_int,
     ilog,
+    int_to_decimal,
     linear_form_valuation,
     make_pair,
     pval,
     residue,
 )
+from .walk import SupWalk, best_mult_pair, reduce_basis, sup_search, vector_pair
 
 NORM_SUP = "sup"
 NORM_MULT = "mult"
@@ -77,99 +83,64 @@ class BestApproxChain:
         return tuple(_pair_metric(pair, self.norm) for pair in self.entries)
 
 
-def _best_pair(p: int, modulus: int, r: int, norm: str) -> tuple[int, int]:
-    """Metric-minimal coprime pair (x, y) with x = y*r (mod modulus).
-
-    Candidates are drawn from the continued-fraction walk on the basis
-    ``(modulus, 0), (r, 1)``.  Every front pair has determinant +-modulus,
-    so its gcd is a power of p and ``p does not divide y`` already forces
-    coprimality.  Within a quotient band the product ``|x(j) * y(j)|`` is
-    concave in j (minimum at the feasible band ends) and the sup height is
-    V-shaped (minimum near the crossover index), which pins down the small
-    candidate sets below.  Ties are broken by smaller |x|, then positive x,
-    then smaller |y|; the returned pair is normalised to y > 0.
-    """
-    mult = norm == NORM_MULT
-    if r == 0:
-        return modulus, 1
-
-    best_key: tuple[int, int, int, int] | None = None
-    best_xy: tuple[int, int] | None = None
-
-    def consider(x: int, y: int) -> None:
-        nonlocal best_key, best_xy
-        if x == 0 or y == 0:
-            return
-        if y < 0:
-            x, y = -x, -y
-        if y % p == 0:
-            return
-        metric = abs(x) * y if mult else max(abs(x), y)
-        key = (metric, abs(x), 0 if x > 0 else 1, y)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_xy = (x, y)
-
-    ax, ay = modulus, 0
-    bx, by = r, 1
-    while bx:
-        consider(bx, by)
-        # Every later candidate has |y| > |by|, hence metric > |by| in both
-        # norms; strict inequality keeps tie candidates alive.
-        if best_key is not None and abs(by) > best_key[0]:
-            break
-        q = ax // bx
-        js = {1, 2, q - 1, q}
-        if not mult:
-            crossover = (ax - abs(ay)) // (bx + abs(by))
-            js.update(range(crossover - 3, crossover + 4))
-        for j in js:
-            if 1 <= j <= q:
-                consider(ax - j * bx, ay - j * by)
-        ax, ay, bx, by = bx, by, ax - q * bx, ay - q * by
-
-    if best_xy is None:  # unreachable: (r, 1) is always a valid candidate
-        raise AssertionError("front walk produced no candidate")
-    return best_xy
-
-
-def _level_pair(xi: PAdicNumber, level: int, norm: str) -> ApproxPair:
+def _check_level(xi: PAdicNumber, level: int) -> None:
     if not 1 <= level <= xi.precision:
         raise ValueError(
             f"level must be in [1, {xi.precision}] for this truncation, got {level}"
         )
-    x, y = _best_pair(xi.p, xi.p**level, residue(xi, level), norm)
-    return make_pair(xi, x, y)
 
 
 def best_sup_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
-    """Smallest sup-height coprime pair with valuation at least ``level``."""
-    return _level_pair(xi, level, NORM_SUP)
+    """Smallest sup-height coprime pair with valuation at least ``level``.
+
+    Reduces the basis (p^level, 0), (r, 1) once and searches it like the
+    chain walk does.
+    """
+    _check_level(xi, level)
+    r = residue(xi, level)
+    if r == 0:
+        return make_pair(xi, xi.p**level, 1)
+    modulus = xi.p**level
+    b1, b2 = reduce_basis((modulus, 0, -1), (r, 1, (xi.value - r) // modulus))
+    return vector_pair(xi.p, xi.precision, level, sup_search(xi.p, b1, b2))
 
 
 def best_mult_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
     """Smallest product coprime pair with valuation at least ``level``."""
-    return _level_pair(xi, level, NORM_MULT)
+    _check_level(xi, level)
+    x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
+    return make_pair(xi, x, y)
 
 
-def _mult_required_valuation(
-    p: int, accepted: list[tuple[int, int]], product: int
-) -> int:
+def _mult_required_valuation(p: int, anchor: tuple[int, int], product: int) -> int:
     """Minimal valuation a new product-``product`` pair must reach.
 
     A candidate competes against p-power scalings of every accepted pair
-    (and of the trivial height-one pairs): scaling by p^m multiplies the
-    product by p^(2m) and deepens the valuation by m.  Equality is enough
-    to enter the chain, so the candidate needs valuation at least the
-    maximum of ``v_i + floor(log_{p^2}(product / P_i))``.
+    (P_i, v_i) and of the trivial height-one pair (1, 0): scaling by p^m
+    multiplies the product by p^(2m) and deepens the valuation by m.
+    Equality is enough to enter the chain, so the candidate needs valuation
+    at least max_i v_i + floor(log_{p^2}(product / P_i)), which equals
+    floor(log_{p^2}(product * p^(2 v_i) / P_i)).  Products only grow along
+    a chain, so every P_i <= product and the maximum is reached at the
+    ``anchor``: the entry minimising P_i / p^(2 v_i) (see
+    :func:`_next_anchor`).
     """
-    required = ilog(product, p * p)
-    for prev_product, prev_val in accepted:
-        if prev_product <= product:
-            required = max(
-                required, prev_val + ilog(product // prev_product, p * p)
-            )
-    return required
+    anchor_product, anchor_val = anchor
+    return anchor_val + ilog(product // anchor_product, p * p)
+
+
+def _next_anchor(
+    p: int, anchor: tuple[int, int], product: int, val: int
+) -> tuple[int, int]:
+    """Anchor after accepting ``(product, val)``, a deeper valuation.
+
+    A replaced last entry needs no removal: its replacement has the same
+    product and a deeper valuation, so it beats it as an anchor.
+    """
+    anchor_product, anchor_val = anchor
+    if product < anchor_product * p ** (2 * (val - anchor_val)):
+        return product, val
+    return anchor
 
 
 def chain(
@@ -181,10 +152,15 @@ def chain(
 ) -> BestApproxChain:
     """Best-approximation chain of ``xi`` up to congruence level ``max_level``.
 
-    With ``jump=True`` the level counter advances past each certified
-    valuation (and past provably rejected stretches in the multiplicative
-    case); ``jump=False`` visits every level and must produce the same
-    chain, which the tests exploit.
+    The sup norm carries a reduced basis from level to level
+    (:class:`SupWalk`); the product norm runs the continued-fraction walk
+    of :func:`best_mult_pair` at each visited level.  With ``jump=True``
+    the level counter advances past each certified valuation (and past
+    provably rejected stretches in the multiplicative case, never beyond
+    ``max_level``); ``jump=False`` visits every level and must produce the
+    same chain, which the tests exploit.  The chain stops at the first
+    censored pair; a record of the same height as that pair is dropped,
+    since the censored pair reaches at least as deep.
     """
     _require_norm(norm)
     if max_level is None:
@@ -194,52 +170,54 @@ def chain(
             f"max_level must be in [1, {xi.precision}], got {max_level}"
         )
     p = xi.p
+    mult = norm == NORM_MULT
+    walk = None if mult else SupWalk(xi)
     entries: list[ApproxPair] = []
-    accepted_mult: list[tuple[int, int]] = []
+    anchor = (1, 0)
     ceiling: int | None = None
     level = 1
     while level <= max_level:
-        x, y = _best_pair(p, p**level, residue(xi, level), norm)
-        pair = make_pair(xi, x, y)
+        if walk is None:
+            pair = best_mult_at_level(xi, level)
+        else:
+            walk.advance(level)
+            pair = walk.best_pair()
+        metric = _pair_metric(pair, norm)
         if not pair.val.is_exact:
             ceiling = pair.val.value
+            if entries and _pair_metric(entries[-1], norm) == metric:
+                entries.pop()
             break
         val = pair.val.value
         if val < level:
             raise AssertionError("level minimizer certifies less than its level")
 
-        if norm == NORM_MULT and entries:
-            required = _mult_required_valuation(
-                p, accepted_mult, pair.height_mult_sq
-            )
+        if mult and entries:
+            required = _mult_required_valuation(p, anchor, metric)
             if val < required:
                 # Levels up to ``val`` keep returning this pair and any pair
                 # with a larger product needs at least ``required``; skip the
-                # whole stretch (or crawl when jump is disabled).
-                level = required if jump else level + 1
+                # whole stretch, but visit ``max_level`` itself (or crawl when
+                # jump is disabled).
+                if not jump:
+                    level += 1
+                elif level < max_level:
+                    level = min(required, max_level)
+                else:
+                    break
                 continue
 
-        metric = _pair_metric(pair, norm)
-        if entries:
-            last = entries[-1]
-            last_metric = _pair_metric(last, norm)
-            if metric < last_metric:
-                raise AssertionError("per-level minimum decreased")
-            if metric == last_metric:
-                if val > last.val.value:
-                    # Same height but deeper valuation: the previous pair was
-                    # not a record after all.
-                    entries[-1] = pair
-                    if norm == NORM_MULT:
-                        accepted_mult[-1] = (pair.height_mult_sq, val)
-            elif val > last.val.value:
+        if entries and metric < _pair_metric(entries[-1], norm):
+            raise AssertionError("per-level minimum decreased")
+        if not entries or val > entries[-1].val.value:
+            if entries and _pair_metric(entries[-1], norm) == metric:
+                # Same height but deeper valuation: the previous pair was
+                # not a record after all.
+                entries[-1] = pair
+            else:
                 entries.append(pair)
-                if norm == NORM_MULT:
-                    accepted_mult.append((pair.height_mult_sq, val))
-        else:
-            entries.append(pair)
-            if norm == NORM_MULT:
-                accepted_mult.append((pair.height_mult_sq, val))
+            if mult:
+                anchor = _next_anchor(p, anchor, metric, val)
         level = val + 1 if jump else level + 1
 
     return BestApproxChain(
@@ -354,7 +332,7 @@ def _extract_staircase(
         )
 
     entries: list[ApproxPair] = []
-    accepted_mult: list[tuple[int, int]] = []
+    anchor = (1, 0)
     ceiling: int | None = None
     max_val = 0
     for pair in sorted(raw_pairs, key=sort_key):
@@ -368,11 +346,9 @@ def _extract_staircase(
             continue
         if mult:
             product = pair.height_mult_sq
-            if entries and val < _mult_required_valuation(
-                p, accepted_mult, product
-            ):
+            if entries and val < _mult_required_valuation(p, anchor, product):
                 continue
-            accepted_mult.append((product, val))
+            anchor = _next_anchor(p, anchor, product, val)
         entries.append(pair)
         max_val = val
     return tuple(entries), ceiling
@@ -561,12 +537,12 @@ def save_chain_csv(chain_: BestApproxChain, path: str) -> None:
             writer.writerow(
                 [
                     k,
-                    pair.x,
-                    pair.y,
+                    int_to_decimal(pair.x),
+                    int_to_decimal(pair.y),
                     pair.val.value,
                     "true" if pair.val.is_exact else "false",
-                    pair.height_sup,
-                    pair.height_mult_sq,
+                    int_to_decimal(pair.height_sup),
+                    int_to_decimal(pair.height_mult_sq),
                 ]
             )
 
@@ -588,11 +564,11 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
                 raise ValueError(f"malformed chain CSV row {row!r}")
             try:
                 k = int(row[0])
-                x = int(row[1])
-                y = int(row[2])
+                x = decimal_to_int(row[1])
+                y = decimal_to_int(row[2])
                 value = int(row[3])
-                height_sup = int(row[5])
-                height_mult_sq = int(row[6])
+                height_sup = decimal_to_int(row[5])
+                height_mult_sq = decimal_to_int(row[6])
             except ValueError as exc:
                 raise ValueError(f"malformed chain CSV row {row!r}") from exc
             if row[4] not in ("true", "false"):

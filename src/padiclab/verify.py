@@ -11,6 +11,7 @@ consecutive-height window) compare exact integers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,7 +186,14 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
     exact integers must satisfy 2 X_1 X_2 >= p^{min(v_1, v_2)}.  When the
     inputs are sorted with jointly non-decreasing heights and valuations a
     violation at (i, j) forces one at (i, i+1), so consecutive checks
-    suffice; otherwise all pairs are compared.
+    suffice (``mode`` "consecutive").  Otherwise (``mode`` "full") a pair
+    is judged through its lower-valuation member, whose slack only grows
+    with the partner's height, so each pair's lightest independent partner
+    among those of at least its valuation stands for all the others: it
+    fails whenever one of them does, its slack is no larger, and on ties it
+    comes first in the all-pairs scan order (lighter partners sort first).
+    Probing these candidates in that order gives the verdict, margin and
+    tightest pair of comparing every pair.
     """
     if len(pairs) < 2:
         return _skip("pair_independence", "fewer than two pairs")
@@ -218,9 +226,18 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
             probe(i, i + 1)
         mode = "consecutive"
     else:
-        for i in range(len(ordered) - 1):
-            for j in range(i + 1, len(ordered)):
-                probe(i, j)
+        # Visit pairs by decreasing valuation, keeping those seen in height
+        # order; the first independent one seen is the lightest partner.
+        seen: list[int] = []
+        candidates: set[tuple[int, int]] = set()
+        for i in sorted(range(len(ordered)), key=lambda k: -ordered[k].val.value):
+            for j in seen:
+                if _independent(ordered[i], ordered[j]):
+                    candidates.add((min(i, j), max(i, j)))
+                    break
+            bisect.insort(seen, i)
+        for i, j in sorted(candidates):
+            probe(i, j)
         mode = "full"
     inputs: dict = {"pairs": len(ordered), "mode": mode}
     if worst_at is not None:

@@ -329,6 +329,19 @@ def test_construct_schneider_writes_digits_and_ledger(tmp_path):
     assert len(read_csv_rows(ledger_csv)) == 6
 
 
+def test_construct_schneider_ledger_past_the_str_limit(tmp_path):
+    # Later convergents have numerators beyond Python's 4300-digit limit on
+    # int/str conversion.
+    ledger_csv = tmp_path / "ledger.csv"
+    assert run_cli(
+        "construct", "schneider", "--p", "2", "--mu", "5/2", "--steps", "24",
+        "--ledger", str(ledger_csv), "-o", str(tmp_path / "xi.json"),
+    ) == 0
+    rows = read_csv_rows(ledger_csv)
+    assert len(rows) == 24
+    assert max(len(row["p_n"]) for row in rows) > 4300
+
+
 def test_construct_surgery_smoke(tmp_path):
     digit_file = tmp_path / "xi.json"
     assert run_cli(

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import (
     LacunarySpec,
@@ -245,6 +248,25 @@ def test_surgery_transform_hand_example():
     assert result.partials == (0, result.corrections[0])
     assert result.xi.digits == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1)
     assert (zeta.value - result.xi.value) % 2**12 == result.partials[-1] % 2**12
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    seed=st.integers(min_value=0, max_value=10**6),
+    second=st.integers(min_value=16, max_value=30),
+)
+@settings(max_examples=30, deadline=None)
+def test_surgery_corrections_match_digit_blocks(p, seed, second):
+    spec = SurgerySpec(
+        t=Fraction(3, 2), mu=Fraction(3), c_offset=1, sigmas=(1, second)
+    )
+    rng = random.Random(seed)
+    digits = [rng.randrange(p) for _ in range(spec.taus[-1] + 5)]
+    result = surgery_transform(from_digits(p, digits), spec)
+    assert result.corrections == tuple(
+        sum(digits[i] * p**i for i in range(nu, tau + 1)) - p**nu - p**tau
+        for nu, tau in spec.intervals()
+    )
 
 
 def test_surgery_transform_validates_precision():

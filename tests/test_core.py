@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from padiclab import (
     digits_to_int,
     from_digits,
@@ -23,6 +25,7 @@ from padiclab import (
     save_digit_file,
     truncation_integer,
 )
+from padiclab.core import decimal_to_int, int_to_decimal
 
 PRIMES = (2, 3, 5, 7)
 
@@ -56,6 +59,45 @@ def test_pval_examples():
 def test_pval_of_zero_rejected():
     with pytest.raises(ValueError):
         pval(0, 2)
+
+
+@given(
+    p=st.sampled_from(PRIMES + (11, 101)),
+    unit=st.integers(min_value=1, max_value=10**40),
+    v=st.integers(min_value=0, max_value=600),
+    negative=st.booleans(),
+)
+@settings(max_examples=300)
+def test_pval_matches_chunked_reference(p, unit, v, negative):
+    n = unit * p**v * (-1 if negative else 1)
+    assert pval(n, p) == reference.pval(n, p)
+
+
+@given(
+    digits=st.integers(min_value=1, max_value=12_000),
+    seed=st.integers(min_value=0, max_value=10**6),
+    negative=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_decimal_text_round_trip_past_the_str_limit(digits, seed, negative):
+    n = random.Random(seed).randrange(10 ** (digits - 1), 10**digits)
+    n = -n if negative else n
+    text = int_to_decimal(n)
+    assert len(text.lstrip("-")) == digits
+    assert decimal_to_int(text) == n
+    if digits <= 4000:
+        assert text == str(n)
+    else:
+        # Spot-check the text against exact arithmetic on its ends.
+        assert int(text[-50:]) == abs(n) % 10**50
+        assert text[0] == "-" if negative else text[0] != "-"
+
+
+def test_decimal_to_int_rejects_malformed_long_text():
+    with pytest.raises(ValueError):
+        decimal_to_int("1" * 5000 + "x")
+    with pytest.raises(ValueError):
+        decimal_to_int("1_" * 3000)
 
 
 def test_ilog_examples():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from padiclab import (
     NORMS,
     NORM_MULT,
@@ -18,7 +20,9 @@ from padiclab import (
     chain_from_entries,
     from_digits,
     from_rational,
+    ilog,
     load_chain_entries,
+    make_pair,
     oracle_chain,
     pval,
     save_chain_csv,
@@ -26,7 +30,29 @@ from padiclab import (
     uniform_minimum,
     uniform_minimum_enum,
 )
+from padiclab.lattice import _mult_required_valuation, _next_anchor
+from padiclab.walk import SupWalk
 from conftest import seeded_xi
+
+PRIMES = (2, 3, 5, 7)
+
+
+def padic_numbers(max_digits: int):
+    """Random numbers, often divisible by a power of p (leading zeros)."""
+    return st.builds(
+        lambda p, head, tail, seed: from_digits(
+            p, [0] * head + _random_digits(p, tail, seed)
+        ),
+        p=st.sampled_from(PRIMES),
+        head=st.integers(min_value=0, max_value=max_digits // 2),
+        tail=st.integers(min_value=1, max_value=max_digits // 2),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+
+
+def _random_digits(p, count, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(p) for _ in range(count)]
 
 
 def entry_triples(chain_):
@@ -89,6 +115,23 @@ def test_best_pair_beats_exhaustive_scan():
             assert mult.height_mult_sq == best[NORM_MULT]
 
 
+@given(xi=padic_numbers(48))
+@settings(max_examples=120, deadline=None)
+def test_level_minimisers_match_reference_walk(xi):
+    """The reduced-basis walk and the front-pair product walk agree with the
+    candidate-set walk at every level, including levels with residue 0."""
+    p = xi.p
+    walk = SupWalk(xi)
+    for level in range(1, xi.precision + 1):
+        modulus, r = p**level, xi.value % p**level
+        walk.advance(level)
+        sup = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_SUP))
+        mult = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_MULT))
+        assert walk.best_pair() == sup
+        assert best_sup_at_level(xi, level) == sup
+        assert best_mult_at_level(xi, level) == mult
+
+
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
@@ -134,14 +177,94 @@ def test_chain_matches_oracle_on_random_numbers():
                 assert fast_entries == entry_triples(slow)
 
 
-def test_chain_jump_invariance():
-    for p, seed in ((2, 21), (3, 22), (5, 23)):
-        xi = seeded_xi(p, 16, seed)
-        for norm in NORMS:
-            fast = chain(xi, norm)
-            slow = chain(xi, norm, jump=False)
-            assert entry_triples(fast) == entry_triples(slow)
-            assert fast.precision_ceiling == slow.precision_ceiling
+@given(
+    xi=padic_numbers(60),
+    norm=st.sampled_from(NORMS),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_chain_jump_invariance(xi, norm, cut):
+    max_level = max(1, round(cut * xi.precision))
+    fast = chain(xi, norm, max_level)
+    slow = chain(xi, norm, max_level, jump=False)
+    assert entry_triples(fast) == entry_triples(slow)
+    assert fast.precision_ceiling == slow.precision_ceiling
+
+
+def test_mult_skip_still_visits_max_level():
+    # The skip after the last record would jump past level 9; the censored
+    # pair there must still be found.
+    xi = from_digits(2, [1, 1, 1, 1, 1, 1, 1, 0, 0])
+    fast = chain(xi, NORM_MULT)
+    assert fast.precision_ceiling == 9
+    assert fast.precision_ceiling == chain(xi, NORM_MULT, jump=False).precision_ceiling
+
+
+def test_censored_pair_displaces_same_height_record():
+    # (1, 1) has valuation 1, but the censored (-1, 1) of the same height
+    # reaches at least 2, so (1, 1) is no record.
+    xi = from_digits(2, [1, 1])
+    result = chain(xi, NORM_SUP)
+    assert entry_triples(result) == []
+    assert result.precision_ceiling == 2
+    assert entry_triples(oracle_chain(xi, NORM_SUP, 4)) == []
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    norm=st.sampled_from(NORMS),
+)
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_oracle_up_to_the_censored_pair(p, seed, norm):
+    """On numbers short enough for the oracle to see the whole chain.
+
+    The level-``precision`` minimiser, which is censored, has metric at
+    most p^precision, so that bound covers every entry and the censored
+    pair itself.
+    """
+    rng = random.Random(seed)
+    precision = rng.randint(1, ilog(2048, p))
+    head = rng.randint(0, precision - 1)
+    xi = from_digits(p, [0] * head + _random_digits(p, precision - head, seed))
+    fast = chain(xi, norm)
+    slow = oracle_chain(xi, norm, p**precision)
+    assert entry_triples(fast) == entry_triples(slow)
+    assert fast.precision_ceiling == slow.precision_ceiling
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    steps=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=1, max_value=6),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+@settings(max_examples=200)
+def test_required_valuation_anchor_matches_list_scan(p, steps):
+    """Accepted (product, valuation) pairs grow as in a chain; a step either
+    appends a pair or deepens the last one at the same product."""
+    accepted: list[tuple[int, int]] = []
+    anchor = (1, 0)
+    product, val = 1, 0
+    for replace, growth, depth in steps:
+        if not (replace and accepted):
+            product = product * p**growth + growth
+        val += depth
+        if replace and accepted:
+            accepted[-1] = (product, val)
+        else:
+            accepted.append((product, val))
+        anchor = _next_anchor(p, anchor, product, val)
+        for probe in (product, product + 1, product * p**3 + 5):
+            assert _mult_required_valuation(p, anchor, probe) == (
+                reference.mult_required_valuation(p, accepted, probe)
+            )
 
 
 @given(
@@ -259,6 +382,16 @@ def test_chain_csv_round_trip(tmp_path):
     rebuilt = chain_from_entries(3, NORM_SUP, entries)
     assert rebuilt.entries == original.entries
     assert rebuilt.norm == NORM_SUP
+
+
+def test_chain_csv_round_trip_past_the_str_limit(tmp_path):
+    # Python's int/str conversion stops at 4300 digits by default.
+    x = 7 * 10**9999 + 12345
+    pair = make_pair(from_digits(2, [1, 0, 1]), x, 3)
+    original = chain_from_entries(2, NORM_SUP, (pair,))
+    path = tmp_path / "chain.csv"
+    save_chain_csv(original, path.as_posix())
+    assert load_chain_entries(path.as_posix()) == (pair,)
 
 
 def test_chain_from_entries_splits_censored_tail(tmp_path):

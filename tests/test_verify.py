@@ -6,7 +6,10 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from padiclab import (
     GOLDEN_UNIFORM_BOUND,
     NORM_MULT,
@@ -16,6 +19,7 @@ from padiclab import (
     ExponentReport,
     Valuation,
     build_report,
+    chain,
     check_chain_bounds,
     check_endlich,
     check_korollar,
@@ -25,6 +29,7 @@ from padiclab import (
     checks_to_dict,
     diagnose_neu,
 )
+from conftest import seeded_xi
 
 
 def fake_report(**kwargs):
@@ -219,6 +224,44 @@ def test_padicle_full_mode_catches_distant_violation():
     result = check_padicle(pairs, 2)
     assert result.inputs["mode"] == "full"
     assert result.passed is False
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    raw=st.lists(
+        st.tuples(
+            st.integers(min_value=-40, max_value=40).filter(bool),
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=0, max_value=12),
+        ),
+        min_size=2,
+        max_size=30,
+    ),
+)
+@settings(max_examples=400)
+def test_padicle_matches_all_pairs_reference(p, raw):
+    """Small coordinates give height ties, equal valuations, duplicates and
+    dependent pairs; both modes must agree with the all-pairs scan."""
+    pairs = [pair(x, y, val) for x, y, val in raw]
+    fast = check_padicle(pairs, p)
+    slow = reference.check_padicle(pairs, p)
+    assert (fast.passed, fast.margin, fast.inputs) == (
+        slow.passed,
+        slow.margin,
+        slow.inputs,
+    )
+
+
+def test_padicle_matches_all_pairs_reference_on_mult_chain():
+    entries = chain(seeded_xi(3, 300, 7), NORM_MULT).entries
+    fast = check_padicle(entries, 3)
+    assert fast.inputs["mode"] == "full"
+    slow = reference.check_padicle(entries, 3)
+    assert (fast.passed, fast.margin, fast.inputs) == (
+        slow.passed,
+        slow.margin,
+        slow.inputs,
+    )
 
 
 def test_padicle_needs_two_pairs():
