@@ -8,8 +8,7 @@ estimate    turn chain CSVs into an exponent report (JSON)
 verify      run checks on a report (and optionally a chain); exit 1 on failure
 sweep       estimate exponents across a grid of power-law gap growths
 
-Exit codes: 0 success, 1 failed verification, 2 malformed input.  The
-``PADIC_LAB_THREADS`` environment variable bounds worker threads for sweep.
+Exit codes: 0 success, 1 failed verification, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .constructors import (
@@ -101,15 +98,6 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PADIC_LAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PADIC_LAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padiclab",
@@ -163,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--xi", "--input", dest="xi", type=str, required=True)
     approx.add_argument("--norm", choices=NORMS, required=True)
     approx.add_argument("--max-level", type=int, default=None)
-    approx.add_argument("--no-jump", action="store_true")
     approx.add_argument(
         "--oracle", action="store_true",
         help="rebuild the chain by exhaustive enumeration (needs --height-bound)",
@@ -270,7 +257,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     else:
         if args.height_bound is not None:
             raise ValueError("--height-bound requires --oracle")
-        result = chain(xi, args.norm, args.max_level, jump=not args.no_jump)
+        result = chain(xi, args.norm, args.max_level)
     save_chain_csv(result, args.out)
     print(f"wrote {len(result.entries)} chain entries to {args.out}")
     if result.precision_limited:
@@ -369,16 +356,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(args)
-    workers = _thread_count()
-    if workers == 1:
-        rows = [_sweep_row(args.p, d, args.terms, args.burn_in) for d in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda d: _sweep_row(args.p, d, args.terms, args.burn_in), grid
-                )
-            )
+    rows = [_sweep_row(args.p, d, args.terms, args.burn_in) for d in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
         writer.writeheader()

@@ -314,27 +314,24 @@ def linear_form_valuation(xi: PAdicNumber, x: int, y: int) -> Valuation:
 
 @dataclass(frozen=True)
 class ApproxPair:
-    """An integer pair (x, y) with the valuation of ``y*xi - x`` and heights.
+    """An integer pair (x, y), x != 0 < y, with the valuation of ``y*xi - x``.
 
-    Both coordinates are nonzero; ``height_sup = max(|x|, |y|)`` and
-    ``height_mult_sq = |x*y|`` (the square of the geometric-mean height,
-    stored squared to stay integral).
+    The heights are derived on each access: ``height_sup = max(|x|, y)``
+    and ``height_mult_sq = |x|*y`` (the square of the geometric-mean
+    height, kept squared to stay integral).
     """
 
     x: int
     y: int
     val: Valuation
-    height_sup: int
-    height_mult_sq: int
 
     @property
-    def log_height_sup(self) -> float:
-        return math.log(self.height_sup)
+    def height_sup(self) -> int:
+        return max(abs(self.x), self.y)
 
     @property
-    def log_height_mult(self) -> float:
-        """Natural log of the geometric-mean height sqrt(|x*y|)."""
-        return 0.5 * math.log(self.height_mult_sq)
+    def height_mult_sq(self) -> int:
+        return abs(self.x) * self.y
 
 
 def make_pair(xi: PAdicNumber, x: int, y: int) -> ApproxPair:
@@ -343,13 +340,7 @@ def make_pair(xi: PAdicNumber, x: int, y: int) -> ApproxPair:
         raise ValueError("approximation pairs require nonzero x and y")
     if y < 0:
         x, y = -x, -y
-    return ApproxPair(
-        x=x,
-        y=y,
-        val=linear_form_valuation(xi, x, y),
-        height_sup=max(abs(x), y),
-        height_mult_sq=abs(x) * y,
-    )
+    return ApproxPair(x=x, y=y, val=linear_form_valuation(xi, x, y))
 
 
 def save_digit_file(xi: PAdicNumber, path: str | Path) -> None:

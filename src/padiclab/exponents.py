@@ -3,7 +3,7 @@
 For a chain entry with valuation ``v`` and norm height ``Q`` (the sup height
 for classical chains, the square root of the product for multiplicative
 chains) the pointwise exponent is ``tau = v * ln p / ln Q``.  The uniform
-exponent is read off the dips between consecutive entries: p-power scalings
+exponent is read off the dips between successive entries: p-power scalings
 of earlier entries keep the box occupied until entry ``k+1`` appears, and a
 scaling of entry ``j`` contributes ``v_j * ln p - ln Q_j`` regardless of the
 scale, so the local uniform exponent just below the height of entry ``k+1``

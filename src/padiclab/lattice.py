@@ -584,15 +584,7 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
                 if row[4] == "true"
                 else Valuation.at_least(value)
             )
-            entries.append(
-                ApproxPair(
-                    x=x,
-                    y=y,
-                    val=val,
-                    height_sup=height_sup,
-                    height_mult_sq=height_mult_sq,
-                )
-            )
+            entries.append(ApproxPair(x=x, y=y, val=val))
     return tuple(entries)
 
 

@@ -6,7 +6,7 @@ the untoleranced slack of the tightest instance (positive means satisfied
 with room), and ``inputs`` records small scalars that identify the
 tightest instance.  Inequality checks on exponent estimates use a float
 tolerance; the two finite structural checks (pair independence and the
-consecutive-height window) compare exact integers.
+successive-height window) compare exact integers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ApproxPair, ilog, pval
-from .exponents import ExponentReport, estimate_multiplicative
+from .exponents import ExponentReport, burn_in_index, estimate_multiplicative
 from .lattice import NORM_MULT, NORM_SUP, BestApproxChain
 
 GOLDEN_UNIFORM_BOUND = (5.0 + math.sqrt(5.0)) / 2.0
@@ -183,35 +183,35 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
 
     For linearly independent pairs with sup heights X_1, X_2 and valuations
     v_1, v_2 it is impossible that p^{-v_i} < 1/(2 X_1 X_2) for both, i.e.
-    exact integers must satisfy 2 X_1 X_2 >= p^{min(v_1, v_2)}.  When the
-    inputs are sorted with jointly non-decreasing heights and valuations a
-    violation at (i, j) forces one at (i, i+1), so consecutive checks
-    suffice (``mode`` "consecutive").  Otherwise (``mode`` "full") a pair
-    is judged through its lower-valuation member, whose slack only grows
-    with the partner's height, so each pair's lightest independent partner
-    among those of at least its valuation stands for all the others: it
-    fails whenever one of them does, its slack is no larger, and on ties it
-    comes first in the all-pairs scan order (lighter partners sort first).
-    Probing these candidates in that order gives the verdict, margin and
-    tightest pair of comparing every pair.
+    exact integers must satisfy 2 X_1 X_2 >= p^{min(v_1, v_2)}.  A pair is
+    judged through its lower-valuation member, whose slack only grows with
+    the partner's height.  So each pair's lightest independent partner among
+    those of at least its valuation stands for all the others: it fails
+    whenever one of them does, its slack is no larger, and on ties it comes
+    first in the all-pairs scan order (lighter partners sort first).  One
+    scan by decreasing valuation finds every such partner; probing them in
+    all-pairs order gives the verdict, margin and tightest pair of comparing
+    every pair, in at most n - 1 probes for n pairs.
     """
     if len(pairs) < 2:
         return _skip("pair_independence", "fewer than two pairs")
     ordered = sorted(pairs, key=lambda pr: (pr.height_sup, pr.val.value))
-    monotone = all(
-        ordered[i].val.value <= ordered[i + 1].val.value
-        for i in range(len(ordered) - 1)
-    )
+    # Visit pairs by decreasing valuation, keeping those seen in height
+    # order; the first independent one seen is the lightest partner.
+    seen: list[int] = []
+    candidates: set[tuple[int, int]] = set()
+    for i in sorted(range(len(ordered)), key=lambda k: -ordered[k].val.value):
+        for j in seen:
+            if _independent(ordered[i], ordered[j]):
+                candidates.add((min(i, j), max(i, j)))
+                break
+        bisect.insort(seen, i)
     log_p = math.log(p)
     worst: float | None = None
     worst_at: tuple[int, int] | None = None
     passed = True
-
-    def probe(i: int, j: int) -> None:
-        nonlocal worst, worst_at, passed
+    for i, j in sorted(candidates):
         a, b = ordered[i], ordered[j]
-        if not _independent(a, b):
-            return
         min_val = min(a.val.value, b.val.value)
         boxed = 2 * a.height_sup * b.height_sup
         if boxed < p**min_val:
@@ -220,35 +220,16 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
         if worst is None or slack < worst:
             worst = slack
             worst_at = (i, j)
-
-    if monotone:
-        for i in range(len(ordered) - 1):
-            probe(i, i + 1)
-        mode = "consecutive"
-    else:
-        # Visit pairs by decreasing valuation, keeping those seen in height
-        # order; the first independent one seen is the lightest partner.
-        seen: list[int] = []
-        candidates: set[tuple[int, int]] = set()
-        for i in sorted(range(len(ordered)), key=lambda k: -ordered[k].val.value):
-            for j in seen:
-                if _independent(ordered[i], ordered[j]):
-                    candidates.add((min(i, j), max(i, j)))
-                    break
-            bisect.insort(seen, i)
-        for i, j in sorted(candidates):
-            probe(i, j)
-        mode = "full"
-    inputs: dict = {"pairs": len(ordered), "mode": mode}
+    inputs: dict = {"pairs": len(ordered)}
     if worst_at is not None:
         inputs["tightest"] = worst_at
     return CheckResult("pair_independence", passed, worst, inputs)
 
 
 def check_korollar(chain: BestApproxChain) -> CheckResult:
-    """Consecutive classical heights obey the exact two-sided window.
+    """Successive classical heights obey the exact two-sided window.
 
-    Lower side: consecutive records are independent coprime pairs whose
+    Lower side: successive records are independent coprime pairs whose
     determinant is a nonzero multiple of p^{v_k}, so p^{v_k} <= 2 H_k
     H_{k+1} with the record's own valuation.  Upper side: the box of entry
     k already certifies the valuation V_k reachable by p-power scalings of
@@ -311,7 +292,7 @@ def diagnose_neu(
     """Side pattern of a multiplicative chain versus its uniform estimate.
 
     Entries are classified as x-side (|x| >= |y|) or y-side.  When the same
-    side recurs on consecutive tail entries the uniform exponent should not
+    side recurs on successive tail entries the uniform exponent should not
     exceed 3; a strictly alternating pattern is the only way past that
     bound, so ``anomaly`` flags recurrent same-side chains whose estimate
     still exceeds 3 + tol.
@@ -319,8 +300,7 @@ def diagnose_neu(
     if chain.norm != NORM_MULT:
         raise ValueError("side diagnostics apply to multiplicative chains")
     entries = chain.entries
-    start = max(2, math.ceil(burn_in * len(entries)))
-    tail = entries[start:]
+    tail = entries[burn_in_index(len(entries), burn_in):]
     sides = "".join("x" if abs(pr.x) >= pr.y else "y" for pr in tail)
     same = sum(1 for a, b in zip(sides, sides[1:]) if a == b)
     total = max(len(sides) - 1, 0)

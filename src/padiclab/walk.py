@@ -136,9 +136,7 @@ def vector_pair(p: int, precision: int, level: int, vec: Vector) -> ApproxPair:
         Valuation.exact(depth) if depth < precision
         else Valuation.at_least(precision)
     )
-    return ApproxPair(
-        x=x, y=y, val=val, height_sup=max(abs(x), y), height_mult_sq=abs(x) * y
-    )
+    return ApproxPair(x=x, y=y, val=val)
 
 
 class SupWalk:
@@ -208,10 +206,10 @@ def best_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
     Continued-fraction walk on ``(modulus, 0), (r, 1)``.  Every front pair
     has determinant +-modulus, so its gcd is a power of p and p not
     dividing y already forces coprimality.  Only front pairs are scored.
-    Between consecutive front pairs a and c = a - q*b, a pair a - j*b with
+    Between successive front pairs a and c = a - q*b, a pair a - j*b with
     0 < j < q has x >= b_x and |y| >= |b_y|, so it cannot beat b when b
     qualifies (its one tie, (modulus - r, -1) when modulus = 2r, loses on
-    the sign).  When p divides b_y, a and c qualify, as consecutive front
+    the sign).  When p divides b_y, a and c qualify, as successive front
     denominators are coprime and c_y = a_y (mod p), and the product
     |x(j) * y(j)| is strictly concave in j, so it exceeds the smaller of
     their products.  (The last front pair, (b_x, y) with b_x the p-part of

@@ -2,9 +2,9 @@
 
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
-minimisers, the chunked valuation loop, the list scan for the product
-chain's required valuation and the all-pairs independence check.  Tests
-require the package to agree with them exactly.
+minimisers, the chunked valuation loop and the list scan for the product
+chain's required valuation.  The independence check is a plain all-pairs
+scan.  Tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -96,45 +96,30 @@ def mult_required_valuation(
 
 
 def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
-    """Pair-independence check comparing every pair when not monotone."""
+    """Pair-independence check comparing every pair, in (i, j) order."""
     if len(pairs) < 2:
         return CheckResult(
             "pair_independence", None, None, {}, "fewer than two pairs"
         )
     ordered = sorted(pairs, key=lambda pr: (pr.height_sup, pr.val.value))
-    monotone = all(
-        ordered[i].val.value <= ordered[i + 1].val.value
-        for i in range(len(ordered) - 1)
-    )
     log_p = math.log(p)
     worst: float | None = None
     worst_at: tuple[int, int] | None = None
     passed = True
-
-    def probe(i: int, j: int) -> None:
-        nonlocal worst, worst_at, passed
-        a, b = ordered[i], ordered[j]
-        if a.x * b.y == b.x * a.y:
-            return
-        min_val = min(a.val.value, b.val.value)
-        boxed = 2 * a.height_sup * b.height_sup
-        if boxed < p**min_val:
-            passed = False
-        slack = math.log(boxed) / log_p - min_val
-        if worst is None or slack < worst:
-            worst = slack
-            worst_at = (i, j)
-
-    if monotone:
-        for i in range(len(ordered) - 1):
-            probe(i, i + 1)
-        mode = "consecutive"
-    else:
-        for i in range(len(ordered) - 1):
-            for j in range(i + 1, len(ordered)):
-                probe(i, j)
-        mode = "full"
-    inputs: dict = {"pairs": len(ordered), "mode": mode}
+    for i in range(len(ordered) - 1):
+        for j in range(i + 1, len(ordered)):
+            a, b = ordered[i], ordered[j]
+            if a.x * b.y == b.x * a.y:
+                continue
+            min_val = min(a.val.value, b.val.value)
+            boxed = 2 * a.height_sup * b.height_sup
+            if boxed < p**min_val:
+                passed = False
+            slack = math.log(boxed) / log_p - min_val
+            if worst is None or slack < worst:
+                worst = slack
+                worst_at = (i, j)
+    inputs: dict = {"pairs": len(ordered)}
     if worst_at is not None:
         inputs["tightest"] = worst_at
     return CheckResult("pair_independence", passed, worst, inputs)

@@ -77,13 +77,7 @@ def entry_key(entry: ApproxPair) -> tuple[int, int, int, bool]:
 
 
 def synthetic_pair(x: int, y: int, val: int) -> ApproxPair:
-    return ApproxPair(
-        x=x,
-        y=y,
-        val=Valuation.exact(val),
-        height_sup=max(abs(x), y),
-        height_mult_sq=abs(x) * y,
-    )
+    return ApproxPair(x=x, y=y, val=Valuation.exact(val))
 
 
 def synthetic_sup_chain(rows: list[tuple[int, int, int]]) -> BestApproxChain:

@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import padiclab
 from padiclab import from_rational, load_report, save_digit_file, save_report
 from padiclab.cli import SWEEP_FIELDS, main
 
@@ -278,14 +281,13 @@ def test_sweep_grid_writes_prediction_columns(tmp_path):
     assert float(rows[1]["mu_est"]) == pytest.approx(3.0, abs=0.5)
 
 
-def test_sweep_range_with_threads_matches_grid(tmp_path, monkeypatch):
+def test_sweep_range_with_threads_matches_grid(tmp_path):
     grid_csv = tmp_path / "grid.csv"
     range_csv = tmp_path / "range.csv"
     run_cli(
         "sweep", "--p", "2", "--grid", "2.5,3.0", "--terms", "6",
         "-o", str(grid_csv),
     )
-    monkeypatch.setenv("PADIC_LAB_THREADS", "2")
     assert run_cli(
         "sweep", "--p", "2", "--d-from", "2.5", "--d-to", "3.0",
         "--d-step", "0.5", "--terms", "6", "-o", str(range_csv),
@@ -351,3 +353,27 @@ def test_construct_surgery_smoke(tmp_path):
     ) == 0
     payload = json.loads(digit_file.read_text())
     assert payload["p"] == 2 and payload["precision"] > 1
+
+
+def test_runtime_imports_only_the_standard_library():
+    # A fresh interpreter without site (-S), so only what padiclab itself
+    # imports is loaded.
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(padiclab.__file__).parents[1])!r})\n"
+        "import padiclab, padiclab.cli\n"
+        "for name in sorted(sys.modules):\n"
+        "    print(name)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "padiclab.cli" in out
+    foreign = [
+        name for name in out
+        if name != "__main__"
+        and name.split(".")[0] not in sys.stdlib_module_names
+        and name.split(".")[0] != "padiclab"
+    ]
+    assert foreign == []

@@ -30,14 +30,7 @@ from conftest import seeded_xi
 def synthetic_chain(norm, rows, p=2):
     """Build a chain object from (x, y, valuation) rows without arithmetic."""
     entries = tuple(
-        ApproxPair(
-            x=x,
-            y=y,
-            val=Valuation.exact(v),
-            height_sup=max(abs(x), y),
-            height_mult_sq=abs(x) * y,
-        )
-        for x, y, v in rows
+        ApproxPair(x=x, y=y, val=Valuation.exact(v)) for x, y, v in rows
     )
     return BestApproxChain(
         p=p,

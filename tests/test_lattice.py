@@ -416,6 +416,7 @@ def test_chain_from_entries_splits_censored_tail(tmp_path):
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,0,1,2,true,0,0\n",
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,1,-1,2,true,1,1\n",
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,1,1,2,true,7,1\n",
+        "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,-3,2,1,true,3,5\n",
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,1,1,2,maybe,1,1\n",
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,1,1,2,true\n",
         "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\n0,one,1,2,true,1,1\n",

@@ -51,8 +51,6 @@ def pair(x, y, val, exact=True):
         x=x,
         y=y,
         val=Valuation.exact(val) if exact else Valuation.at_least(val),
-        height_sup=max(abs(x), y),
-        height_mult_sq=abs(x) * y,
     )
 
 
@@ -195,7 +193,6 @@ def test_lacunary_sandwich_validation():
 def test_padicle_passes_on_real_chain(lacunary_chain_sup):
     result = check_padicle(lacunary_chain_sup.entries, 2)
     assert result.passed is True
-    assert result.inputs["mode"] == "consecutive"
     # The exact comparison passes; the float margin may sit at rounding
     # noise below zero when a pair meets the bound with equality.
     assert result.margin is not None and result.margin >= -1e-9
@@ -218,12 +215,21 @@ def test_padicle_ignores_dependent_pairs():
 
 
 def test_padicle_full_mode_catches_distant_violation():
-    # Heights sorted but valuations not: consecutive probes alone would
-    # miss the (first, third) conflict, so the check must go quadratic.
+    # Heights sorted but valuations not: probing neighbours alone would
+    # miss the (first, third) conflict.
     pairs = [pair(4, 1, 50), pair(5, 1, 3), pair(6, 1, 50)]
     result = check_padicle(pairs, 2)
-    assert result.inputs["mode"] == "full"
     assert result.passed is False
+
+
+def test_padicle_looks_past_a_dependent_neighbour():
+    # Heights and valuations both sorted, but the middle pair is a multiple
+    # of the first: (1, 1) and (8, 1) still violate 2 * 1 * 8 < 2^5.
+    pairs = [pair(1, 1, 5), pair(2, 2, 5), pair(8, 1, 5)]
+    result = check_padicle(pairs, 2)
+    assert result.passed is False
+    assert result.inputs["tightest"] == (0, 2)
+    assert result.margin == pytest.approx(-1.0)
 
 
 @given(
@@ -241,7 +247,7 @@ def test_padicle_full_mode_catches_distant_violation():
 @settings(max_examples=400)
 def test_padicle_matches_all_pairs_reference(p, raw):
     """Small coordinates give height ties, equal valuations, duplicates and
-    dependent pairs; both modes must agree with the all-pairs scan."""
+    dependent pairs; the check must agree with the all-pairs scan."""
     pairs = [pair(x, y, val) for x, y, val in raw]
     fast = check_padicle(pairs, p)
     slow = reference.check_padicle(pairs, p)
@@ -255,7 +261,6 @@ def test_padicle_matches_all_pairs_reference(p, raw):
 def test_padicle_matches_all_pairs_reference_on_mult_chain():
     entries = chain(seeded_xi(3, 300, 7), NORM_MULT).entries
     fast = check_padicle(entries, 3)
-    assert fast.inputs["mode"] == "full"
     slow = reference.check_padicle(entries, 3)
     assert (fast.passed, fast.margin, fast.inputs) == (
         slow.passed,
@@ -350,6 +355,9 @@ def test_diagnose_requires_mult_chain_and_handles_short_tail():
     assert info["sides"] == ""
     assert info["anomaly"] is False
     assert info["hat_mu_times"] is None
+    for burn_in in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="burn_in"):
+            diagnose_neu(short, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------
