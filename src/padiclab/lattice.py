@@ -10,10 +10,15 @@ Per-level minimisers on the congruence lattices ``{(x, y) : x = y * xi
 level to level for the sup norm (de Weger 1986; Kaib & Schnorr 1996), a
 continued-fraction walk per visited level for the product norm.  Chains
 assemble the minimisers into the staircase of record pairs
-(strictly increasing heights and valuations).  Exhaustive enumeration
-oracles rebuild the same chains from scratch so the fast path can be
-cross-validated, and ``uniform_minimum`` evaluates the uniform
-(min-over-a-box) side of the problem.
+(strictly increasing heights and valuations).
+
+The enumeration oracle rebuilds the same chains from scratch so the fast
+path can be cross-validated: it streams centered-residue ladders, reads
+each candidate's valuation off the length of its run (a residue that holds
+through level L and changes at L + 1 has valuation L), keeps the best
+candidate per metric and builds pairs only for the staircase.
+``uniform_minimum`` evaluates the uniform (min-over-a-box) side of the
+problem from a chain, ``uniform_minimum_enum`` from the same ladders.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ class BestApproxChain:
 
     ``precision_ceiling`` is set when the search ran into a pair whose
     valuation is censored by the truncation (only a lower bound is known);
-    the chain stops just before that pair.
+    the chain stops just before that pair, and ``ceiling_metric`` keeps the
+    pair's height (or product), from which on box minima are unknown.
     """
 
     p: int
@@ -74,6 +80,7 @@ class BestApproxChain:
     max_level: int
     entries: tuple[ApproxPair, ...]
     precision_ceiling: int | None = None
+    ceiling_metric: int | None = None
 
     @property
     def precision_limited(self) -> bool:
@@ -175,6 +182,7 @@ def chain(
     entries: list[ApproxPair] = []
     anchor = (1, 0)
     ceiling: int | None = None
+    ceiling_metric: int | None = None
     level = 1
     while level <= max_level:
         if walk is None:
@@ -184,7 +192,7 @@ def chain(
             pair = walk.best_pair()
         metric = _pair_metric(pair, norm)
         if not pair.val.is_exact:
-            ceiling = pair.val.value
+            ceiling, ceiling_metric = pair.val.value, metric
             if entries and _pair_metric(entries[-1], norm) == metric:
                 entries.pop()
             break
@@ -226,6 +234,7 @@ def chain(
         max_level=max_level,
         entries=tuple(entries),
         precision_ceiling=ceiling,
+        ceiling_metric=ceiling_metric,
     )
 
 
@@ -234,158 +243,152 @@ def chain(
 # ---------------------------------------------------------------------------
 
 
-def _centered_residues(t: int, p: int, levels: int, x_bound: int):
-    """Yield (level, x) with x the centered residue of t mod p^level.
+def _ladder_runs(t: int, p: int, levels: int, bound: int):
+    """Yield (x, last) for every centered residue x of t mod p^level.
 
-    When t vanishes mod p^level the minimal nonzero representatives are
-    +-p^level, which are yielded instead.  The minimal nonzero magnitude is
-    non-decreasing in the level, so the scan stops once it exceeds
-    ``x_bound``.  On ties (residue exactly half the modulus, or zero) both
-    signed representatives are yielded.
+    Levels run from 1 to ``levels``.  When t vanishes mod p^level the
+    minimal nonzero representatives +-p^level stand in, and on a tie
+    (residue exactly half the modulus) both signed representatives appear.
+    The minimal nonzero magnitude never decreases with the level, so the
+    scan stops once it exceeds ``bound``.
+
+    A value x stays on the ladder from its first level through ``last``:
+    at every later level l it is a residue exactly when t = x (mod p^l),
+    because |x| <= p^l / 2 there.  So ``last`` is v_p(t - x) when that is
+    below ``levels``, and ``levels`` when t = x (mod p^levels).
     """
+    run: tuple[int, ...] = ()
     modulus = 1
     for level in range(1, levels + 1):
         modulus *= p
         rem = t % modulus
         if rem == 0:
-            if modulus > x_bound:
-                return
-            yield level, modulus
-            yield level, -modulus
-            continue
-        twice = 2 * rem
-        if twice > modulus:
-            rem -= modulus
-        if abs(rem) > x_bound:
-            return
-        yield level, rem
-        if twice == modulus:
-            yield level, rem - modulus
+            if modulus > bound:
+                break
+            now = (modulus, -modulus)
+        else:
+            twice = 2 * rem
+            if twice > modulus:
+                rem -= modulus
+            if abs(rem) > bound:
+                break
+            now = (rem, rem - modulus) if twice == modulus else (rem,)
+        if now != run:
+            for x in run:
+                if x not in now:
+                    yield x, level - 1
+            run = now
+    else:
+        level = levels + 1
+    for x in run:
+        yield x, level - 1
 
 
-def _ladder_pairs(
-    xi: PAdicNumber, y: int, x_bound: int
-) -> list[tuple[int, int]]:
-    """Minimal-|x| representatives (x, y) of every valuation level."""
-    if x_bound < 1:
-        return []
-    t = (y * xi.value) % xi.modulus
-    return [
-        (x, y)
-        for _level, x in _centered_residues(t, xi.p, xi.precision, x_bound)
-    ]
+def _ladder_candidates(xi: PAdicNumber, norm: str, bound: int):
+    """Yield (x, y, val), y > 0, for every ladder pair of the box ``bound``.
 
+    The sup box scans every y up to ``bound``.  The product box scans
+    y <= sqrt(bound), and every small |x| through the inverted congruence:
+    writing xi = p^w * eta with eta a unit, pairs of valuation above w have
+    x = p^w * u and y = u / eta (mod p^(precision - w)), whose ladder lists
+    the minimal-|y| representative of every level; pairs of valuation at
+    most w have p^v | x and are already covered by y = 1.
 
-def _inverse_ladder_pairs(
-    xi: PAdicNumber, product_bound: int, x_abs_bound: int
-) -> list[tuple[int, int]]:
-    """Pairs with small |x| found by inverting the congruence.
-
-    Writing ``xi = p^w * eta`` with ``eta`` a unit, the pairs of valuation
-    above ``w`` have ``x = p^w * u`` and ``y`` congruent to ``u / eta``; a
-    centered-residue ladder on the inverse of ``eta`` lists the minimal-|y|
-    representative of every level.  Pairs of valuation at most ``w`` have
-    ``p^v | x`` and are already covered by ``y = 1``.
+    ``val`` is v_p(y*xi - x) read off the run: the run's last level on the
+    ladder of y*xi, or w plus it on the inverted ladder.  ``val`` equals
+    the precision when the form vanishes to full precision, which censors
+    it unless p divides y.
     """
-    if xi.value == 0:
-        return []
-    p = xi.p
-    w = pval(xi.value, p)
-    unit_levels = xi.precision - w
-    unit_modulus = p**unit_levels
-    inverse = pow(xi.value // p**w, -1, unit_modulus)
+    p, n, value, modulus = xi.p, xi.precision, xi.value, xi.modulus
+    if norm == NORM_SUP:
+        for y in range(1, bound + 1):
+            for x, last in _ladder_runs(y * value % modulus, p, n, bound):
+                yield x, y, last
+        return
+    root = math.isqrt(bound)
+    for y in range(1, root + 1):
+        for x, last in _ladder_runs(y * value % modulus, p, n, bound // y):
+            yield x, y, last
+    if value == 0:
+        return
+    w = pval(value, p)
     scale = p**w
-    out = []
-    for u in range(1, x_abs_bound // scale + 1):
+    unit_modulus = modulus // scale
+    inverse = pow(value // scale, -1, unit_modulus)
+    for u in range(1, root // scale + 1):
         x = scale * u
-        y_bound = product_bound // x
-        if y_bound < 1:
-            break
-        t = (u * inverse) % unit_modulus
-        for _level, y in _centered_residues(t, p, unit_levels, y_bound):
+        t = u * inverse % unit_modulus
+        for y, last in _ladder_runs(t, p, n - w, bound // x):
             if y > 0:
-                out.append((x, y))
-            elif y < 0:
-                out.append((-x, -y))
-    return out
-
-
-def _extract_staircase(
-    p: int, norm: str, raw_pairs: list[ApproxPair]
-) -> tuple[tuple[ApproxPair, ...], int | None]:
-    """Assemble chain entries from an exhaustive candidate list.
-
-    Sorting by (metric, -valuation, tie key) makes a single sweep pick, for
-    every metric value, the deepest pair first; a pair enters the chain when
-    its valuation strictly exceeds everything accepted so far (and, for the
-    multiplicative norm, survives the scaled-copy competition).
-    """
-    mult = norm == NORM_MULT
-
-    def sort_key(pair: ApproxPair):
-        return (
-            _pair_metric(pair, norm),
-            -pair.val.value,
-            abs(pair.x),
-            0 if pair.x > 0 else 1,
-            pair.y,
-        )
-
-    entries: list[ApproxPair] = []
-    anchor = (1, 0)
-    ceiling: int | None = None
-    max_val = 0
-    for pair in sorted(raw_pairs, key=sort_key):
-        if not pair.val.is_exact:
-            # A censored valuation could hide a deeper record; stop here,
-            # mirroring what the level walk does at its first censored pair.
-            ceiling = pair.val.value
-            break
-        val = pair.val.value
-        if val <= max_val:
-            continue
-        if mult:
-            product = pair.height_mult_sq
-            if entries and val < _mult_required_valuation(p, anchor, product):
-                continue
-            anchor = _next_anchor(p, anchor, product, val)
-        entries.append(pair)
-        max_val = val
-    return tuple(entries), ceiling
+                yield x, y, w + last
+            else:
+                yield -x, -y, w + last
 
 
 def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     """Chain rebuilt by exhaustive enumeration, for cross-validation.
 
     ``bound`` limits the sup height (classical norm) or the product |x*y|
-    (multiplicative norm).  Candidate pairs come from centered-residue
-    ladders over every ``y`` (and, for the multiplicative norm, over every
-    small ``|x|`` through the inverted congruence), so no walk machinery is
-    shared with :func:`chain`.
+    (multiplicative norm).  Candidates stream from the ladders of
+    :func:`_ladder_candidates`, each with the valuation of its run, so no
+    walk machinery is shared with :func:`chain`.
+
+    Only the best coprime candidate of each metric is kept, under the key
+    (deeper valuation, smaller |x|, positive x, smaller y).  That suffices:
+    any other pair of the same metric reaches no deeper, so the sweep's
+    valuation test (or the product norm's required-valuation test against
+    the same anchor) rejects it as well.  The sweep over the sorted metrics
+    stops at the first censored one.  Only the survivors and that censored
+    pair are built with :func:`make_pair`, and their exact valuations must
+    agree with the runs.
     """
     _require_norm(norm)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    seen: set[tuple[int, int]] = set()
-    if norm == NORM_SUP:
-        for y in range(1, bound + 1):
-            seen.update(_ladder_pairs(xi, y, bound))
-    else:
-        for y in range(1, math.isqrt(bound) + 1):
-            seen.update(_ladder_pairs(xi, y, bound // y))
-        seen.update(_inverse_ladder_pairs(xi, bound, math.isqrt(bound)))
-    raw = [
-        make_pair(xi, x, y)
-        for x, y in seen
-        if math.gcd(x, y) == 1
-    ]
-    entries, ceiling = _extract_staircase(xi.p, norm, raw)
+    p, n = xi.p, xi.precision
+    mult = norm == NORM_MULT
+    best: dict[int, tuple[int, int, bool, int]] = {}
+    for x, y, val in _ladder_candidates(xi, norm, bound):
+        size = abs(x)
+        metric = size * y if mult else max(size, y)
+        key = (-val, size, x < 0, y)
+        held = best.get(metric)
+        if (held is None or key < held) and math.gcd(x, y) == 1:
+            best[metric] = key
+
+    entries: list[ApproxPair] = []
+    anchor = (1, 0)
+    ceiling: int | None = None
+    ceiling_metric: int | None = None
+    max_val = 0
+    for metric in sorted(best):
+        neg_val, size, negative, y = best[metric]
+        val = -neg_val
+        # A coprime ladder pair has p not dividing y, so a run that reaches
+        # the precision is censored.
+        censored = val == n
+        if not censored:
+            if val <= max_val:
+                continue
+            if mult and entries and val < _mult_required_valuation(p, anchor, metric):
+                continue
+        pair = make_pair(xi, -size if negative else size, y)
+        if pair.val != Valuation(val, not censored):
+            raise AssertionError("ladder run disagrees with the exact valuation")
+        if censored:
+            ceiling, ceiling_metric = val, metric
+            break
+        if mult:
+            anchor = _next_anchor(p, anchor, metric, val)
+        entries.append(pair)
+        max_val = val
     return BestApproxChain(
-        p=xi.p,
+        p=p,
         norm=norm,
-        max_level=xi.precision,
-        entries=entries,
+        max_level=n,
+        entries=tuple(entries),
         precision_ceiling=ceiling,
+        ceiling_metric=ceiling_metric,
     )
 
 
@@ -421,7 +424,9 @@ def uniform_minimum(
     ``bound`` caps ``max(|x|, |y|)`` for the classical norm and the product
     ``|x * y|`` for the multiplicative norm.  The minimiser is either a
     chain entry or a p-power scaling of one, so the chain (computed on
-    demand) answers the query without enumeration.
+    demand) answers the query without enumeration.  That needs the chain
+    to run to the full precision, and the box to stay below the censored
+    pair's metric: from there on the minimum is unknown.
     """
     _require_norm(norm)
     if bound < 2:
@@ -430,6 +435,17 @@ def uniform_minimum(
         chain_ = chain(xi, norm)
     if chain_.norm != norm or chain_.p != xi.p:
         raise ValueError("chain does not match the requested norm and prime")
+    if chain_.max_level < xi.precision:
+        raise ValueError(
+            f"chain stops at level {chain_.max_level} below the precision "
+            f"{xi.precision}; deeper pairs of the box are unknown"
+        )
+    if chain_.precision_ceiling is not None and (
+        chain_.ceiling_metric is None or bound >= chain_.ceiling_metric
+    ):
+        raise ValueError(
+            "bound too large for this precision: the box holds a censored pair"
+        )
     p = xi.p
     mult = norm == NORM_MULT
     base = p * p if mult else p
@@ -472,54 +488,44 @@ def uniform_minimum_enum(
 ) -> UniformWitness:
     """Independent enumeration of the same box minimum (no chain involved).
 
-    All integer pairs are admitted (coprimality plays no role in the box
-    minimum), via centered-residue ladders; exact valuations come from the
-    p-adic value of ``t - x`` where ``t`` is the reduced ``y * xi``.
+    All ladder pairs are admitted (coprimality plays no role in the box
+    minimum), and each valuation is read off its run.  When p^e divides y
+    the form is known modulo p^(precision + e), so a run reaching the
+    precision may still carry an exact valuation: only those pairs pay for
+    :func:`linear_form_valuation`.  A censored valuation inside the box
+    raises, since the minimum is then unknown.
     """
     _require_norm(norm)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    p = xi.p
+    p, n = xi.p, xi.precision
     mult = norm == NORM_MULT
     best_key = None
-    best_xy: tuple[int, int] | None = None
-    best_val: int | None = None
-
-    def scan(x: int, y: int) -> None:
-        nonlocal best_key, best_xy, best_val
-        if y < 0:
-            x, y = -x, -y
-        val = linear_form_valuation(xi, x, y)
-        if not val.is_exact:
-            raise ValueError(
-                "bound too large for this precision: censored valuation met"
-            )
-        metric = abs(x) * y if mult else max(abs(x), y)
-        key = (-val.value, metric, abs(x), 0 if x > 0 else 1, y)
+    for x, y, val in _ladder_candidates(xi, norm, bound):
+        if val == n:
+            exact = linear_form_valuation(xi, x, y)
+            if not exact.is_exact:
+                raise ValueError(
+                    "bound too large for this precision: censored valuation met"
+                )
+            val = exact.value
+        size = abs(x)
+        key = (-val, size * y if mult else max(size, y), size, x < 0, y)
         if best_key is None or key < best_key:
             best_key = key
             best_xy = (x, y)
-            best_val = val.value
-
-    if mult:
-        for y in range(1, math.isqrt(bound) + 1):
-            for x, _ in _ladder_pairs(xi, y, bound // y):
-                scan(x, y)
-        for x, y in _inverse_ladder_pairs(xi, bound, math.isqrt(bound)):
-            scan(x, y)
-    else:
-        for y in range(1, bound + 1):
-            for x, _ in _ladder_pairs(xi, y, bound):
-                scan(x, y)
-    if best_xy is None or best_val is None:
+    if best_key is None:
         raise ValueError("no nonzero pair found inside the box")
+    val = -best_key[0]
     witness_pair = make_pair(xi, *best_xy)
+    if witness_pair.val != Valuation.exact(val):
+        raise AssertionError("ladder run disagrees with the exact valuation")
     return UniformWitness(
         norm=norm,
         bound=bound,
-        valuation=best_val,
+        valuation=val,
         pair=witness_pair,
-        exponent=_witness_exponent(p, norm, best_val, bound),
+        exponent=_witness_exponent(p, norm, val, bound),
     )
 
 
@@ -594,10 +600,11 @@ def chain_from_entries(
     """Wrap loaded entries in a chain object (for estimation from CSV)."""
     _require_norm(norm)
     max_level = entries[-1].val.value if entries else 1
-    ceiling = None
+    ceiling = ceiling_metric = None
     exact = entries
     if entries and not entries[-1].val.is_exact:
         ceiling = entries[-1].val.value
+        ceiling_metric = _pair_metric(entries[-1], norm)
         exact = entries[:-1]
     return BestApproxChain(
         p=p,
@@ -605,4 +612,5 @@ def chain_from_entries(
         max_level=max_level,
         entries=exact,
         precision_ceiling=ceiling,
+        ceiling_metric=ceiling_metric,
     )

@@ -3,8 +3,10 @@
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
 minimisers, the chunked valuation loop and the list scan for the product
-chain's required valuation.  The independence check is a plain all-pairs
-scan.  Tests require the package to agree with them exactly.
+chain's required valuation, and the enumeration oracle and box minimum that
+build one ``ApproxPair`` per ladder candidate before sorting them.  The
+independence check is a plain all-pairs scan.  Tests require the package to
+agree with them exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from padiclab import ApproxPair, CheckResult, ilog
+from padiclab import (
+    ApproxPair,
+    BestApproxChain,
+    CheckResult,
+    UniformWitness,
+    ilog,
+    linear_form_valuation,
+    make_pair,
+)
 
 
 def best_pair(p: int, modulus: int, r: int, norm: str) -> tuple[int, int]:
@@ -123,3 +133,179 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
     if worst_at is not None:
         inputs["tightest"] = worst_at
     return CheckResult("pair_independence", passed, worst, inputs)
+
+
+def _centered_residues(t: int, p: int, levels: int, x_bound: int):
+    """Yield (level, x) with x the centered residue of t mod p^level.
+
+    When t vanishes mod p^level the minimal nonzero representatives are
+    +-p^level, which are yielded instead.  The minimal nonzero magnitude is
+    non-decreasing in the level, so the scan stops once it exceeds
+    ``x_bound``.  On ties (residue exactly half the modulus, or zero) both
+    signed representatives are yielded.
+    """
+    modulus = 1
+    for level in range(1, levels + 1):
+        modulus *= p
+        rem = t % modulus
+        if rem == 0:
+            if modulus > x_bound:
+                return
+            yield level, modulus
+            yield level, -modulus
+            continue
+        twice = 2 * rem
+        if twice > modulus:
+            rem -= modulus
+        if abs(rem) > x_bound:
+            return
+        yield level, rem
+        if twice == modulus:
+            yield level, rem - modulus
+
+
+def _ladder_pairs(xi, y: int, x_bound: int) -> list[tuple[int, int]]:
+    """Minimal-|x| representatives (x, y) of every valuation level."""
+    if x_bound < 1:
+        return []
+    t = (y * xi.value) % xi.modulus
+    return [
+        (x, y)
+        for _level, x in _centered_residues(t, xi.p, xi.precision, x_bound)
+    ]
+
+
+def _inverse_ladder_pairs(
+    xi, product_bound: int, x_abs_bound: int
+) -> list[tuple[int, int]]:
+    """Pairs with small |x| found by inverting the congruence."""
+    if xi.value == 0:
+        return []
+    p = xi.p
+    w = pval(xi.value, p)
+    unit_levels = xi.precision - w
+    unit_modulus = p**unit_levels
+    inverse = pow(xi.value // p**w, -1, unit_modulus)
+    scale = p**w
+    out = []
+    for u in range(1, x_abs_bound // scale + 1):
+        x = scale * u
+        y_bound = product_bound // x
+        if y_bound < 1:
+            break
+        t = (u * inverse) % unit_modulus
+        for _level, y in _centered_residues(t, p, unit_levels, y_bound):
+            if y > 0:
+                out.append((x, y))
+            elif y < 0:
+                out.append((-x, -y))
+    return out
+
+
+def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
+    """Sort every candidate by (metric, -valuation, tie key) and sweep once.
+
+    The product norm's required valuation is the list scan above.
+    """
+    mult = norm == "mult"
+
+    def metric(pair: ApproxPair) -> int:
+        return pair.height_mult_sq if mult else pair.height_sup
+
+    def sort_key(pair: ApproxPair):
+        return (
+            metric(pair),
+            -pair.val.value,
+            abs(pair.x),
+            0 if pair.x > 0 else 1,
+            pair.y,
+        )
+
+    entries: list[ApproxPair] = []
+    accepted: list[tuple[int, int]] = []
+    ceiling = None
+    max_val = 0
+    for pair in sorted(raw_pairs, key=sort_key):
+        if not pair.val.is_exact:
+            ceiling = pair.val.value
+            break
+        val = pair.val.value
+        if val <= max_val:
+            continue
+        if mult:
+            product = pair.height_mult_sq
+            if entries and val < mult_required_valuation(p, accepted, product):
+                continue
+            accepted.append((product, val))
+        entries.append(pair)
+        max_val = val
+    return tuple(entries), ceiling
+
+
+def oracle_chain(xi, norm: str, bound: int) -> BestApproxChain:
+    """Chain rebuilt from every ladder candidate, one ApproxPair each."""
+    seen: set[tuple[int, int]] = set()
+    if norm == "sup":
+        for y in range(1, bound + 1):
+            seen.update(_ladder_pairs(xi, y, bound))
+    else:
+        for y in range(1, math.isqrt(bound) + 1):
+            seen.update(_ladder_pairs(xi, y, bound // y))
+        seen.update(_inverse_ladder_pairs(xi, bound, math.isqrt(bound)))
+    raw = [make_pair(xi, x, y) for x, y in seen if math.gcd(x, y) == 1]
+    entries, ceiling = _extract_staircase(xi.p, norm, raw)
+    return BestApproxChain(
+        p=xi.p,
+        norm=norm,
+        max_level=xi.precision,
+        entries=entries,
+        precision_ceiling=ceiling,
+    )
+
+
+def uniform_minimum_enum(xi, norm: str, bound: int) -> UniformWitness:
+    """Box minimum over every ladder candidate, one valuation call each."""
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
+    p = xi.p
+    mult = norm == "mult"
+    best_key = None
+    best_xy = None
+    best_val = None
+
+    def scan(x: int, y: int) -> None:
+        nonlocal best_key, best_xy, best_val
+        if y < 0:
+            x, y = -x, -y
+        val = linear_form_valuation(xi, x, y)
+        if not val.is_exact:
+            raise ValueError(
+                "bound too large for this precision: censored valuation met"
+            )
+        metric = abs(x) * y if mult else max(abs(x), y)
+        key = (-val.value, metric, abs(x), 0 if x > 0 else 1, y)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_xy = (x, y)
+            best_val = val.value
+
+    if mult:
+        for y in range(1, math.isqrt(bound) + 1):
+            for x, _ in _ladder_pairs(xi, y, bound // y):
+                scan(x, y)
+        for x, y in _inverse_ladder_pairs(xi, bound, math.isqrt(bound)):
+            scan(x, y)
+    else:
+        for y in range(1, bound + 1):
+            for x, _ in _ladder_pairs(xi, y, bound):
+                scan(x, y)
+    if best_xy is None or best_val is None:
+        raise ValueError("no nonzero pair found inside the box")
+    log_height = math.log(bound) / (2.0 if mult else 1.0)
+    return UniformWitness(
+        norm=norm,
+        bound=bound,
+        valuation=best_val,
+        pair=make_pair(xi, *best_xy),
+        exponent=best_val * math.log(p) / log_height,
+    )

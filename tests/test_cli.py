@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import padiclab
+import reference
 from padiclab import from_rational, load_report, save_digit_file, save_report
 from padiclab.cli import SWEEP_FIELDS, main
 
@@ -125,6 +126,26 @@ def test_approx_oracle_matches_fast_chain_prefix(tmp_path):
     assert [(r["x"], r["y"], r["valuation"]) for r in fast] == [
         (r["x"], r["y"], r["valuation"]) for r in oracle
     ]
+
+
+@pytest.mark.parametrize("norm, bound", [("sup", 3000), ("mult", 200000)])
+def test_approx_oracle_csv_matches_reference_oracle(tmp_path, norm, bound):
+    digit_file = tmp_path / "xi.json"
+    oracle_csv = tmp_path / "oracle.csv"
+    reference_csv = tmp_path / "reference.csv"
+    run_cli(
+        "construct", "rule", "--p", "3", "--rule", "random", "--seed", "11",
+        "--precision", "14", "-o", str(digit_file),
+    )
+    assert run_cli(
+        "approx", "--xi", str(digit_file), "--norm", norm,
+        "--oracle", "--height-bound", str(bound), "-o", str(oracle_csv),
+    ) == 0
+    xi = padiclab.load_digit_file(digit_file)
+    padiclab.save_chain_csv(
+        reference.oracle_chain(xi, norm, bound), str(reference_csv)
+    )
+    assert oracle_csv.read_bytes() == reference_csv.read_bytes()
 
 
 # ---------------------------------------------------------------------------

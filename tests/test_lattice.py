@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,50 @@ def test_chain_matches_oracle_up_to_the_censored_pair(p, seed, norm):
     assert fast.precision_ceiling == slow.precision_ceiling
 
 
+def short_number(p, seed, max_modulus):
+    """A number with p^precision <= max_modulus, often divisible by p^w."""
+    rng = random.Random(seed)
+    precision = rng.randint(1, ilog(max_modulus, p))
+    head = rng.randint(0, precision - 1) if rng.random() < 0.5 else 0
+    return from_digits(p, [0] * head + _random_digits(p, precision - head, seed))
+
+
+def box_bound(xi, fraction):
+    """A box from 1 up to twice p^precision, past the censored pair's metric."""
+    return max(1, round(fraction * 2 * xi.p**xi.precision))
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    norm=st.sampled_from(NORMS),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_reference_enumeration(p, seed, norm, fraction):
+    xi = short_number(p, seed, 1024)
+    bound = box_bound(xi, fraction)
+    fast = oracle_chain(xi, norm, bound)
+    slow = reference.oracle_chain(xi, norm, bound)
+    assert fast.entries == slow.entries
+    assert fast.precision_ceiling == slow.precision_ceiling
+
+
+def test_oracle_memory_stays_flat_at_high_valuation():
+    # v_2(xi) = 12: the former oracle built one pair per ladder candidate
+    # and peaked at about 63 MiB here.
+    rng = random.Random(12)
+    xi = from_digits(2, [0] * 12 + [1] + [rng.randrange(2) for _ in range(17)])
+    tracemalloc.start()
+    try:
+        result = oracle_chain(xi, NORM_SUP, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.entries
+    assert peak < 8 * 2**20
+
+
 @given(
     p=st.sampled_from(PRIMES),
     steps=st.lists(
@@ -337,6 +382,61 @@ def test_uniform_minimum_agrees_with_enumeration():
                 assert abs(fast.exponent - slow.exponent) <= 1e-9
 
 
+def witness_or_error(function, *args):
+    try:
+        witness = function(*args)
+    except ValueError:
+        return "ValueError"
+    return witness.valuation, witness.pair, witness.exponent
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    norm=st.sampled_from(NORMS),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_uniform_minimum_enum_matches_reference(p, seed, norm, fraction):
+    xi = short_number(p, seed, 1024)
+    bound = max(2, box_bound(xi, fraction))
+    assert witness_or_error(uniform_minimum_enum, xi, norm, bound) == (
+        witness_or_error(reference.uniform_minimum_enum, xi, norm, bound)
+    )
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    norm=st.sampled_from(NORMS),
+)
+@settings(max_examples=40, deadline=None)
+def test_uniform_minimum_matches_enumeration_at_every_bound(p, seed, norm):
+    """Up to p^precision, which is past the censored pair's metric."""
+    xi = short_number(p, seed, 128)
+    chain_ = chain(xi, norm)
+    for bound in range(2, xi.p**xi.precision + 1):
+        assert witness_or_error(uniform_minimum, xi, norm, bound, chain_) == (
+            witness_or_error(uniform_minimum_enum, xi, norm, bound)
+        )
+
+
+def test_uniform_minimum_refuses_cut_chains_and_censored_boxes():
+    xi = from_digits(2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
+    # Cut at level 4, the chain misses (1, 5) of valuation 5.
+    assert uniform_minimum_enum(xi, NORM_SUP, 5).pair == make_pair(xi, 1, 5)
+    with pytest.raises(ValueError, match="below the precision"):
+        uniform_minimum(xi, NORM_SUP, 5, chain(xi, NORM_SUP, 4))
+    # Both boxes hold the censored pair at which the full chain stops.
+    for norm, bound in ((NORM_SUP, 40), (NORM_MULT, 2000)):
+        full = chain(xi, norm)
+        assert full.ceiling_metric <= bound
+        with pytest.raises(ValueError, match="censored"):
+            uniform_minimum(xi, norm, bound, full)
+        with pytest.raises(ValueError, match="censored"):
+            uniform_minimum_enum(xi, norm, bound)
+
+
 def test_uniform_minimum_scaled_witness():
     """Between chain heights the minimiser is a p-power scaling of an entry."""
     xi = seeded_xi(2, 20, 41)
@@ -406,6 +506,7 @@ def test_chain_from_entries_splits_censored_tail(tmp_path):
     rebuilt = chain_from_entries(2, NORM_SUP, entries)
     assert len(rebuilt.entries) == 1
     assert rebuilt.precision_ceiling == 10
+    assert rebuilt.ceiling_metric == 3
 
 
 @pytest.mark.parametrize(
