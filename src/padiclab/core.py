@@ -135,6 +135,19 @@ def _int_to_digits(n: int, p: int, count: int) -> list[int]:
     return _int_to_digits(r, p, half) + _int_to_digits(q, p, count - half)
 
 
+def int_repr(n: int) -> str:
+    """``repr(n)``, or ``<int of N bits>`` past CPython's str-conversion limit.
+
+    Keeps tracebacks and failure reports printable when a coordinate runs
+    to tens of thousands of digits.
+    """
+    try:
+        return repr(n)
+    except ValueError:
+        sign = "-" if n < 0 else ""
+        return f"{sign}<int of {n.bit_length()} bits>"
+
+
 def int_to_decimal(n: int) -> str:
     """Decimal text of ``n``, identical to ``str(n)`` at any length.
 
@@ -257,7 +270,18 @@ def from_digits(p: int, digits: Iterable[int]) -> PAdicNumber:
 
 
 def from_rational(p: int, num: int, den: int, precision: int) -> PAdicNumber:
-    """Embed num/den into Z_p at the given precision (den must be a p-unit)."""
+    """Embed num/den into Z_p at the given precision (den must be a p-unit).
+
+    The inverse of den modulo ``p**precision`` is Hensel-lifted by Newton's
+    iteration ``x <- x*(2 - den*x) mod p**k`` from its residue mod p.  An
+    inverse mod p**k is correct mod p**(2k), so the steps walk the ladder
+    n, ceil(n/2), ceil(n/4), ..., 1 upward and the last one lands on
+    p**precision exactly; the cost is a few multiplications at full size.
+    CPython's ``pow(den, -1, m)`` runs a quadratic extended Euclid instead.
+    On the Schneider denominators (CPython 3.11, one core of a 2-vCPU
+    machine) the lift takes 0.89 s against 12.3 s at p = 3 and 399,293
+    digits, and 0.19 s against 3.0 s at p = 2 and 300,707 digits.
+    """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if den == 0:
@@ -266,8 +290,13 @@ def from_rational(p: int, num: int, den: int, precision: int) -> PAdicNumber:
         raise ValueError(f"denominator {den} is divisible by p={p}")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    mod = p**precision
-    value = num * pow(den, -1, mod) % mod
+    ladder = [precision]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
+    inverse = pow(den, -1, p)
+    for k in reversed(ladder[:-1]):
+        inverse = inverse * (2 - den * inverse) % p**k
+    value = num * inverse % p**precision
     return PAdicNumber(p, tuple(int_to_digits(value, p, precision)))
 
 
@@ -332,6 +361,9 @@ class ApproxPair:
     @property
     def height_mult_sq(self) -> int:
         return abs(self.x) * self.y
+
+    def __repr__(self) -> str:  # the dataclass repr fails past 4300 digits
+        return f"ApproxPair(x={int_repr(self.x)}, y={int_repr(self.y)}, val={self.val!r})"
 
 
 def make_pair(xi: PAdicNumber, x: int, y: int) -> ApproxPair:

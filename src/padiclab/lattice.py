@@ -33,6 +33,7 @@ from .core import (
     Valuation,
     decimal_to_int,
     ilog,
+    int_repr,
     int_to_decimal,
     linear_form_valuation,
     make_pair,
@@ -54,6 +55,10 @@ CHAIN_CSV_FIELDS = (
     "height_sup",
     "height_mult_sq",
 )
+
+
+# A chain's repr lists this many entries, then how many it leaves out.
+_REPR_ENTRIES = 8
 
 
 def _require_norm(norm: str) -> None:
@@ -88,6 +93,19 @@ class BestApproxChain:
 
     def metrics(self) -> tuple[int, ...]:
         return tuple(_pair_metric(pair, self.norm) for pair in self.entries)
+
+    def __repr__(self) -> str:  # keep long chains and huge metrics out of tracebacks
+        shown = ", ".join(repr(pair) for pair in self.entries[:_REPR_ENTRIES])
+        if len(self.entries) > _REPR_ENTRIES:
+            shown += f", ... {len(self.entries) - _REPR_ENTRIES} more"
+        elif len(self.entries) == 1:
+            shown += ","
+        metric = None if self.ceiling_metric is None else int_repr(self.ceiling_metric)
+        return (
+            f"BestApproxChain(p={self.p}, norm={self.norm!r}, max_level={self.max_level}, "
+            f"entries=({shown}), precision_ceiling={self.precision_ceiling}, "
+            f"ceiling_metric={metric})"
+        )
 
 
 def _check_level(xi: PAdicNumber, level: int) -> None:

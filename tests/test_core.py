@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import reference
 from padiclab import (
+    ApproxPair,
+    Valuation,
     digits_to_int,
     from_digits,
     from_rational,
@@ -176,6 +178,45 @@ def test_from_rational_validation():
         from_rational(2, 1, 3, 0)
 
 
+# Newton steps land on every precision of the ladder n, ceil(n/2), ..., 1,
+# so powers of two and their neighbours exercise both parities of each step.
+_LIFT_PRECISIONS = st.one_of(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([2**k + d for k in range(1, 11) for d in (-1, 0, 1)]),
+)
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    n=_LIFT_PRECISIONS,
+    k=st.integers(min_value=-(10**60), max_value=10**60),
+    unit=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(("unit", "plus_one", "minus_one")),
+    beyond=st.booleans(),
+    num=st.integers(min_value=-(10**30), max_value=10**30),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_rational_lift_matches_modular_inverse(p, n, k, unit, kind, beyond, num):
+    r = {"unit": 1 + unit % (p - 1), "plus_one": 1, "minus_one": -1}[kind]
+    den = p * k + r
+    if beyond:  # |den| > p**n, same residue mod p
+        den += p ** (n + 3) * (1 if k >= 0 else -1)
+    mod = p**n
+    assert from_rational(p, 1, den, n).value == pow(den, -1, mod)
+    assert from_rational(p, num, den, n).value == num * pow(den, -1, mod) % mod
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_from_rational_lift_at_ten_thousand_digits(p):
+    rng = random.Random(f"lift:{p}")
+    n = 10_000 + rng.randrange(100)
+    mod = p**n
+    num = rng.randrange(-mod, mod)
+    den = rng.randrange(1, mod) * p + rng.randrange(1, p)
+    expected = int_to_digits(num * pow(den, -1, mod) % mod, p, n)
+    assert from_rational(p, num, den, n).digits == tuple(expected)
+
+
 def test_residue_and_truncation():
     xi = from_digits(2, [1, 1, 0, 1])
     assert residue(xi, 0) == 0
@@ -296,6 +337,19 @@ def test_make_pair_normalizes_sign():
     assert (pair.x, pair.y) == (-3, 2)
     assert pair.height_sup == 3
     assert pair.height_mult_sq == 6
+
+
+def test_approx_pair_repr_past_the_str_limit():
+    pair = ApproxPair(x=10**5000, y=1, val=Valuation.exact(3))
+    assert repr(pair) == (
+        "ApproxPair(x=<int of 16610 bits>, y=1, "
+        "val=Valuation(value=3, is_exact=True))"
+    )
+    assert repr(ApproxPair(x=-(10**5000), y=7, val=Valuation.at_least(2))).startswith(
+        "ApproxPair(x=-<int of 16610 bits>, y=7,"
+    )
+    small = ApproxPair(x=-3, y=5, val=Valuation.at_least(4))
+    assert repr(small) == "ApproxPair(x=-3, y=5, val=Valuation(value=4, is_exact=False))"
 
 
 def test_make_pair_rejects_zero_coordinates():

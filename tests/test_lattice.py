@@ -15,6 +15,10 @@ from padiclab import (
     NORMS,
     NORM_MULT,
     NORM_SUP,
+    BestApproxChain,
+    LacunarySpec,
+    build_lacunary,
+    lacunary_pow_exponents,
     best_mult_at_level,
     best_sup_at_level,
     chain,
@@ -528,3 +532,18 @@ def test_chain_csv_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         load_chain_entries(path.as_posix())
+
+
+def test_chain_repr_past_the_str_limit():
+    long_chain = chain(build_lacunary(LacunarySpec(2, lacunary_pow_exponents(4, 9))), NORM_SUP)
+    text = repr(long_chain)
+    assert text.startswith("BestApproxChain(p=2, norm='sup', max_level=65537, entries=(")
+    assert f", ... {len(long_chain.entries) - 8} more), precision_ceiling=65537, " in text
+    assert text.endswith("ceiling_metric=<int of 49152 bits>)")
+    xi = from_digits(2, [1, 0, 1, 1])
+    pairs = (make_pair(xi, 1, 1), make_pair(xi, 3, 5))
+    short_chain = BestApproxChain(2, NORM_SUP, 4, pairs, 4, 21)
+    assert repr(short_chain) == (
+        f"BestApproxChain(p=2, norm='sup', max_level=4, entries=({pairs[0]!r}, {pairs[1]!r}), "
+        "precision_ceiling=4, ceiling_metric=21)"
+    )
