@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sur.add_argument("-o", "--out", type=str, required=True)
 
     approx = sub.add_parser("approx", help="compute a best-approximation chain")
-    approx.add_argument("--xi", "--input", dest="xi", type=str, required=True)
+    approx.add_argument("--xi", type=str, required=True)
     approx.add_argument("--norm", choices=NORMS, required=True)
     approx.add_argument("--max-level", type=int, default=None)
     approx.add_argument(
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="exponent estimates across gap growths")
-    sweep.add_argument("--family", choices=("lacunary",), default="lacunary")
     sweep.add_argument("--p", type=int, required=True)
     grid = sweep.add_mutually_exclusive_group(required=True)
     grid.add_argument("--grid", type=str, help="comma-separated d values")

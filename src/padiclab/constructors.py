@@ -15,10 +15,9 @@ Families covered:
 from __future__ import annotations
 
 import csv
-import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,6 +27,7 @@ from .core import (
     PAdicNumber,
     from_digits,
     from_rational,
+    from_value,
     ilog,
     int_to_decimal,
     is_prime,
@@ -36,6 +36,9 @@ from .core import (
 )
 
 DEFAULT_MAX_DIGITS = 1_000_000
+
+# Extra offset of each surgery interval start above ceil(t*mu) + 1.
+_C_MARGIN = 3
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +91,7 @@ def build_lacunary(spec: LacunarySpec, max_digits: int = DEFAULT_MAX_DIGITS) -> 
     precision = spec.exponents[-1] + 1
     if precision > max_digits:
         raise ValueError(f"precision {precision} exceeds digit cap {max_digits}")
-    digits = [0] * precision
-    for a in spec.exponents:
-        digits[a] = 1
-    return from_digits(spec.p, digits)
+    return from_value(spec.p, sum(spec.p**a for a in spec.exponents), precision)
 
 
 def lacunary_pow_exponents(d: float, terms: int) -> tuple[int, ...]:
@@ -118,10 +118,7 @@ def build_factorial(p: int, terms: int, max_digits: int = DEFAULT_MAX_DIGITS) ->
     precision = positions[-1] + 1
     if precision > max_digits:
         raise ValueError(f"precision {precision} exceeds digit cap {max_digits}")
-    digits = [0] * precision
-    for pos in positions:
-        digits[pos] = 1
-    return from_digits(p, digits)
+    return from_value(p, sum(p**pos for pos in positions), precision)
 
 
 def thue_morse_bit(i: int) -> int:
@@ -199,10 +196,6 @@ class SchneiderState:
         """Valuation of den_n * xi - num_n against the limit number."""
         return self.block_sum(n + 1)
 
-    def p_divisibility(self, n: int) -> tuple[bool, bool]:
-        num, den = self.pair(n)
-        return (num % self.p == 0, den % self.p == 0)
-
 
 def schneider_initial(p: int) -> SchneiderState:
     if not is_prime(p):
@@ -237,18 +230,20 @@ def schneider_step(
 def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
     """Largest g with p**(g+ell) <= height**mu, by exact integer comparison.
 
-    A float log estimate seeds the search; the result is certified by
-    comparing p**((g+ell)*mu.denominator) against height**mu.numerator.
+    With mu = a/b the condition reads (p**b)**(g+ell) <= height**a, so
+    g + ell is the integer log of height**a to the base p**b.
     """
     if height < 2:
         raise ValueError("height must be >= 2 to select a block exponent")
-    a, b = mu.numerator, mu.denominator
-    g = int(float(mu) * math.log(height) / math.log(p)) - ell
-    target = height**a
-    while p ** ((g + ell) * b) > target:
-        g -= 1
-    while p ** ((g + 1 + ell) * b) <= target:
-        g += 1
+    return ilog(height**mu.numerator, p**mu.denominator) - ell
+
+
+def _next_block(state: SchneiderState, mu: Fraction) -> int:
+    """The block exponent that realizes target mu at the last pair (>= 1)."""
+    n = state.n_last
+    g = select_block_exponent(state.p, state.height(n), state.block_sum(n), mu)
+    if g < 1:
+        raise ValueError(f"selected block exponent {g} < 1 at index {n}")
     return g
 
 
@@ -281,32 +276,15 @@ def schneider_exponent_driven(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = schneider_initial(p)
-    state = schneider_step(state, 1, None)  # bootstrap block
-    for n in range(1, steps):
+    state = schneider_step(schneider_initial(p), 1, None)  # bootstrap block
+    for n in range(1, steps + 1):
         mu_n = _mu_at(mu_seq, n - 1)
         if mu_n < 2 + epsilon:
             raise ValueError(f"target exponent {mu_n} below 2 + {epsilon}")
-        g = select_block_exponent(p, state.height(n), state.block_sum(n), mu_n)
-        if g < 1:
-            raise ValueError(f"selected block exponent {g} < 1 at index {n}")
-        state = schneider_step(state, g, mu_n)
-    mu_m = _mu_at(mu_seq, steps - 1)
-    if mu_m < 2 + epsilon:
-        raise ValueError(f"target exponent {mu_m} below 2 + {epsilon}")
-    trailing = select_block_exponent(
-        p, state.height(steps), state.block_sum(steps), mu_m
-    )
-    if trailing < 1:
-        raise ValueError(f"selected block exponent {trailing} < 1 at index {steps}")
-    state = SchneiderState(
-        p=state.p,
-        pairs=state.pairs,
-        gs=state.gs,
-        mus=state.mus,
-        trailing_g=trailing,
-        trailing_mu=mu_m,
-    )
+        g = _next_block(state, mu_n)
+        if n < steps:
+            state = schneider_step(state, g, mu_n)
+    state = replace(state, trailing_g=g, trailing_mu=mu_n)
     num, den = state.pair(state.n_last)
     xi = from_rational(p, num, den, state.ledger_valuation(state.n_last))
     return state, xi
@@ -436,21 +414,16 @@ def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
         raise ValueError(
             f"last interval end {spec.taus[-1]} >= precision {zeta.precision}"
         )
-    digits = list(zeta.digits)
     p = zeta.p
     corrections = []
     for nu, tau in spec.intervals():
         block = zeta.value // p**nu % p ** (tau - nu + 1) * p**nu
         corrections.append(block - p**nu - p**tau)
-        for i in range(nu + 1, tau):
-            digits[i] = 0
-        digits[nu] = 1
-        digits[tau] = 1
     partials = [0]
     for u in corrections:
         partials.append(partials[-1] + u)
     return SurgeryResult(
-        xi=from_digits(p, digits),
+        xi=from_value(p, zeta.value - partials[-1], zeta.precision),
         corrections=tuple(corrections),
         partials=tuple(partials),
     )
@@ -515,7 +488,6 @@ def build_ratio_witness(
     epsilon: Fraction = Fraction(1, 2),
     sigma1_target: int = 9,
     gap_multiplier: int = 10,
-    c_margin: int = 3,
     num_spikes: int = 2,
     max_digits: int = 2 * DEFAULT_MAX_DIGITS,
 ) -> RatioWitness:
@@ -538,37 +510,31 @@ def build_ratio_witness(
     if tilde < 2 + epsilon:
         raise ValueError(f"spike target {tilde} below 2 + {epsilon}")
     filler = 2 + epsilon
-    c_offset = -(-tilde.numerator // tilde.denominator) + 1 + c_margin  # ceil(t*mu)+1+margin
+    c_offset = -(-tilde.numerator // tilde.denominator) + 1 + _C_MARGIN  # ceil(t*mu)+1+3
 
-    state = schneider_initial(p)
-    state = schneider_step(state, 1, None)
+    state = schneider_step(schneider_initial(p), 1, None)
     spike_indices: list[int] = []
     sigmas: list[int] = []
     target = sigma1_target
     while len(spike_indices) < num_spikes:
         n = state.n_last
-        height = state.height(n)
-        log_h = ilog(height, p)
+        log_h = ilog(state.height(n), p)
         if log_h >= target:
-            g = select_block_exponent(p, height, state.block_sum(n), tilde)
-            state = schneider_step(state, g, tilde)
+            state = schneider_step(state, _next_block(state, tilde), tilde)
             spike_indices.append(n)
             sigmas.append(log_h)
             nu = int(tilde * log_h) + c_offset
             tau = int(mu * nu)
             target = gap_multiplier * tau + 20
         else:
-            g = select_block_exponent(p, height, state.block_sum(n), filler)
-            state = schneider_step(state, g, filler)
+            state = schneider_step(state, _next_block(state, filler), filler)
         if state.block_sum(state.n_last) > max_digits:
             raise ValueError("digit cap exceeded while placing spikes")
 
     spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
     needed = spec.taus[-1] + 2
     while state.block_sum(state.n_last) < needed:
-        n = state.n_last
-        g = select_block_exponent(p, state.height(n), state.block_sum(n), filler)
-        state = schneider_step(state, g, filler)
+        state = schneider_step(state, _next_block(state, filler), filler)
         if state.block_sum(state.n_last) > max_digits:
             raise ValueError("digit cap exceeded while extending the source")
 

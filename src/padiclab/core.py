@@ -1,10 +1,11 @@
 """Exact truncated p-adic integers and valuations of linear forms.
 
-A :class:`PAdicNumber` is a prime ``p`` together with a finite little-endian
-Hensel digit vector; index ``i`` holds the coefficient of ``p**i``.  All
-arithmetic is exact integer arithmetic on residues modulo ``p**precision``.
+A :class:`PAdicNumber` is a prime ``p`` together with its residue modulo
+``p**precision``; its little-endian Hensel digits (index ``i`` holds the
+coefficient of ``p**i``) are derived on demand.  All arithmetic is exact
+integer arithmetic on residues.
 
-Because the digit vector is finite, a valuation computed from it may be
+Because the precision is finite, a valuation computed from it may be
 censored: when the linear form ``y*xi - x`` vanishes to full usable precision
 we only know a lower bound.  :class:`Valuation` keeps that distinction
 explicit so downstream estimators never mistake censored data for measured
@@ -232,28 +233,38 @@ class Valuation:
 
 @dataclass(frozen=True)
 class PAdicNumber:
-    """A p-adic integer known modulo ``p**precision``, as Hensel digits."""
+    """A p-adic integer known modulo ``p**precision``, held as its residue.
+
+    Two numbers are equal when they have the same prime and the same digits,
+    i.e. the same precision and residue.
+    """
 
     p: int
-    digits: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
+    precision: int
+    value: int
 
     @cached_property
-    def value(self) -> int:
-        """The residue of the number modulo ``p**precision``."""
-        return digits_to_int(self.digits, self.p)
+    def digits(self) -> tuple[int, ...]:
+        """Little-endian Hensel digits, ``precision`` of them."""
+        return tuple(int_to_digits(self.value, self.p, self.precision))
 
     @cached_property
     def modulus(self) -> int:
         return self.p**self.precision
 
     def __repr__(self) -> str:  # keep huge digit vectors out of tracebacks
-        head = ",".join(str(d) for d in self.digits[:8])
+        head = ",".join(map(str, int_to_digits(self.value, self.p, min(self.precision, 8))))
         tail = ",..." if self.precision > 8 else ""
         return f"PAdicNumber(p={self.p}, precision={self.precision}, digits=[{head}{tail}])"
+
+
+def from_value(p: int, value: int, precision: int) -> PAdicNumber:
+    """The p-adic integer ``value mod p**precision``."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    return PAdicNumber(p, precision, value % p**precision)
 
 
 def from_digits(p: int, digits: Iterable[int]) -> PAdicNumber:
@@ -266,7 +277,7 @@ def from_digits(p: int, digits: Iterable[int]) -> PAdicNumber:
     for i, d in enumerate(digs):
         if not 0 <= d < p:
             raise ValueError(f"digit {d} at index {i} out of range [0, {p})")
-    return PAdicNumber(p, digs)
+    return PAdicNumber(p, len(digs), digits_to_int(digs, p))
 
 
 def from_rational(p: int, num: int, den: int, precision: int) -> PAdicNumber:
@@ -288,16 +299,13 @@ def from_rational(p: int, num: int, den: int, precision: int) -> PAdicNumber:
         raise ValueError("denominator must be nonzero")
     if den % p == 0:
         raise ValueError(f"denominator {den} is divisible by p={p}")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
     ladder = [precision]
     while ladder[-1] > 1:
         ladder.append((ladder[-1] + 1) // 2)
     inverse = pow(den, -1, p)
     for k in reversed(ladder[:-1]):
         inverse = inverse * (2 - den * inverse) % p**k
-    value = num * inverse % p**precision
-    return PAdicNumber(p, tuple(int_to_digits(value, p, precision)))
+    return from_value(p, num * inverse, precision)
 
 
 def residue(xi: PAdicNumber, v: int) -> int:
@@ -397,7 +405,13 @@ def load_digit_file(path: str | Path) -> PAdicNumber:
     for key in ("p", "precision", "digits"):
         if key not in payload:
             raise ValueError(f"digit file {path} missing key {key!r}")
-    xi = from_digits(payload["p"], payload["digits"])
+    # JSON floats, strings and booleans are not digits, even where int() takes them.
+    digits = payload["digits"]
+    if type(payload["p"]) is not int or type(payload["precision"]) is not int:
+        raise ValueError(f"digit file {path}: p and precision must be integers")
+    if not isinstance(digits, list) or not set(map(type, digits)) <= {int}:
+        raise ValueError(f"digit file {path}: digits must be a list of integers")
+    xi = from_digits(payload["p"], digits)
     if xi.precision != payload["precision"]:
         raise ValueError(
             f"digit file {path} declares precision {payload['precision']} "

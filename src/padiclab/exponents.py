@@ -179,10 +179,7 @@ def report_to_dict(report: ExponentReport) -> dict:
         "hat_mu_times": report.hat_mu_times,
         "burn_in": report.burn_in,
         "precision_limited": report.precision_limited,
-        "pointwise": [
-            {"k": row.k, "tau": row.tau, "uniform_term": row.uniform_term}
-            for row in report.pointwise
-        ],
+        "pointwise": [dict(vars(row)) for row in report.pointwise],
     }
 
 

@@ -5,20 +5,26 @@ algorithm: the candidate-set continued-fraction walk for per-level
 minimisers, the chunked valuation loop and the list scan for the product
 chain's required valuation, and the enumeration oracle and box minimum that
 build one ``ApproxPair`` per ladder candidate before sorting them.  The
-independence check is a plain all-pairs scan.  Tests require the package to
-agree with them exactly.
+independence check is a plain all-pairs scan.  The Schneider block search is
+seeded by a float logarithm, and digit surgery edits the digit vector.  Tests
+require the package to agree with them exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from padiclab import (
     ApproxPair,
     BestApproxChain,
     CheckResult,
+    PAdicNumber,
+    SurgeryResult,
+    SurgerySpec,
     UniformWitness,
+    from_digits,
     ilog,
     linear_form_valuation,
     make_pair,
@@ -308,4 +314,48 @@ def uniform_minimum_enum(xi, norm: str, bound: int) -> UniformWitness:
         valuation=best_val,
         pair=make_pair(xi, *best_xy),
         exponent=best_val * math.log(p) / log_height,
+    )
+
+
+def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
+    """Largest g with p**(g+ell) <= height**mu, searched from a float log.
+
+    The result is certified by comparing p**((g+ell)*mu.denominator) against
+    height**mu.numerator.
+    """
+    if height < 2:
+        raise ValueError("height must be >= 2 to select a block exponent")
+    a, b = mu.numerator, mu.denominator
+    g = int(float(mu) * math.log(height) / math.log(p)) - ell
+    target = height**a
+    while p ** ((g + ell) * b) > target:
+        g -= 1
+    while p ** ((g + 1 + ell) * b) <= target:
+        g += 1
+    return g
+
+
+def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
+    """Clear each interval of zeta's digit vector, keeping 1 at both ends."""
+    if spec.taus[-1] >= zeta.precision:
+        raise ValueError(
+            f"last interval end {spec.taus[-1]} >= precision {zeta.precision}"
+        )
+    digits = list(zeta.digits)
+    p = zeta.p
+    corrections = []
+    for nu, tau in spec.intervals():
+        block = zeta.value // p**nu % p ** (tau - nu + 1) * p**nu
+        corrections.append(block - p**nu - p**tau)
+        for i in range(nu + 1, tau):
+            digits[i] = 0
+        digits[nu] = 1
+        digits[tau] = 1
+    partials = [0]
+    for u in corrections:
+        partials.append(partials[-1] + u)
+    return SurgeryResult(
+        xi=from_digits(p, digits),
+        corrections=tuple(corrections),
+        partials=tuple(partials),
     )

@@ -212,6 +212,21 @@ def test_approx_rejects_malformed_digit_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "p, digits",
+    [(2.0, [1, 0, 1]), (2, [1.7, 0, 1])],
+)
+def test_approx_rejects_non_integer_digit_file_entries(tmp_path, capsys, p, digits):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"format": "padic-digits-v1", "p": p, "precision": 3, "digits": digits}
+    ))
+    assert run_cli(
+        "approx", "--xi", str(bad), "--norm", "sup", "-o", str(tmp_path / "c.csv")
+    ) == 2
+    assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv_tail, needle",
     [
         (("--oracle",), "--height-bound"),
@@ -291,7 +306,7 @@ def test_verify_exits_1_on_failing_report(tmp_path, capsys):
 def test_sweep_grid_writes_prediction_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(
-        "sweep", "--family", "lacunary", "--p", "2", "--grid", "2.5,3",
+        "sweep", "--p", "2", "--grid", "2.5,3",
         "--terms", "7", "-o", str(out),
     ) == 0
     rows = read_csv_rows(out)

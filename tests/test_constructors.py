@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from padiclab import (
     LacunarySpec,
     SurgerySpec,
@@ -31,6 +32,7 @@ from padiclab import (
     surgery_transform,
     thue_morse_bit,
     from_digits,
+    from_value,
 )
 
 
@@ -143,6 +145,23 @@ def test_select_block_exponent_boundary():
         select_block_exponent(2, 1, 0, Fraction(3, 2))
 
 
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    k=st.integers(min_value=0, max_value=60),
+    offset=st.sampled_from((-1, 0, 1)),
+    ell=st.integers(min_value=0, max_value=200),
+    a=st.integers(min_value=1, max_value=40),
+    b=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=400, deadline=None)
+def test_select_block_exponent_matches_float_seeded_search(p, k, offset, ell, a, b):
+    height = max(2, p**k + offset)
+    mu = Fraction(a, b)
+    assert select_block_exponent(p, height, ell, mu) == reference.select_block_exponent(
+        p, height, ell, mu
+    )
+
+
 def test_exponent_driven_trace():
     state, xi = schneider_exponent_driven(2, Fraction(5, 2), 6)
     assert state.pairs[2:] == (
@@ -178,8 +197,7 @@ def test_exponent_driven_coprimality_and_divisibility():
         for n in range(1, state.n_last + 1):
             num, den = state.pair(n)
             assert math.gcd(num, den) == 1
-            num_div, den_div = state.p_divisibility(n)
-            assert num_div and not den_div
+            assert num % p == 0 != den % p
             assert pval(num, p) == state.gs[0]
 
 
@@ -267,6 +285,36 @@ def test_surgery_corrections_match_digit_blocks(p, seed, second):
         sum(digits[i] * p**i for i in range(nu, tau + 1)) - p**nu - p**tau
         for nu, tau in spec.intervals()
     )
+
+
+@st.composite
+def surgery_cases(draw):
+    """A prime, a valid SurgerySpec with 1-3 intervals and a random zeta."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    t = Fraction(draw(st.integers(4, 8)), 4)
+    mu = Fraction(draw(st.integers(9, 13)), 4)
+    c_offset = draw(st.integers(1, 4))
+    sigmas = [draw(st.integers(1, 4))]
+    for _ in range(draw(st.integers(0, 2))):
+        spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
+        sigmas.append(spec.taus[-1] + draw(st.integers(1, 20)))
+    spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
+    precision = spec.taus[-1] + draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 10**6))
+    zeta = from_value(p, random.Random(seed).randrange(p**precision), precision)
+    return zeta, spec
+
+
+@given(case=surgery_cases())
+@settings(max_examples=60, deadline=None)
+def test_surgery_transform_matches_digit_editing(case):
+    zeta, spec = case
+    result = surgery_transform(zeta, spec)
+    expected = reference.surgery_transform(zeta, spec)
+    assert result.xi == expected.xi
+    assert result.xi.digits == expected.xi.digits
+    assert result.corrections == expected.corrections
+    assert result.partials == expected.partials
 
 
 def test_surgery_transform_validates_precision():

@@ -16,6 +16,7 @@ from padiclab import (
     digits_to_int,
     from_digits,
     from_rational,
+    from_value,
     ilog,
     int_to_digits,
     is_prime,
@@ -154,6 +155,35 @@ def test_from_digits_validation():
         from_digits(2, [])
     with pytest.raises(ValueError):
         from_digits(2, [0, 2])
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    n=st.integers(min_value=1, max_value=300),
+    v=st.integers(min_value=-(10**150), max_value=10**150),
+)
+def test_from_value_matches_from_digits(p, n, v):
+    xi = from_value(p, v, n)
+    twin = from_digits(p, int_to_digits(v, p, n))
+    assert xi == twin
+    assert hash(xi) == hash(twin)
+    assert xi.value == v % p**n
+    assert xi.digits == twin.digits
+
+
+def test_from_value_validation():
+    with pytest.raises(ValueError):
+        from_value(4, 1, 3)
+    with pytest.raises(ValueError):
+        from_value(2, 1, 0)
+    with pytest.raises(ValueError):
+        from_value(2, 1, -1)
+
+
+def test_repr_shows_leading_digits_only():
+    xi = from_value(3, 2 + 3 * 1 + 9 * 2, 1000)
+    assert repr(xi) == "PAdicNumber(p=3, precision=1000, digits=[2,1,2,0,0,0,0,0,...])"
+    assert repr(from_digits(2, [1, 1])) == "PAdicNumber(p=2, precision=2, digits=[1,1])"
 
 
 def test_from_rational_third_in_base_two():
@@ -385,4 +415,28 @@ def test_digit_file_rejects_malformed(tmp_path):
         )
     )
     with pytest.raises(ValueError):
+        load_digit_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p", 2.0),
+        ("p", True),
+        ("p", "2"),
+        ("precision", 3.0),
+        ("digits", [1.7, 0, 1]),
+        ("digits", [1.0, 0, 1]),
+        ("digits", ["1", 0, 1]),
+        ("digits", [True, 0, 1]),
+        ("digits", [1, None, 1]),
+        ("digits", "101"),
+    ],
+)
+def test_digit_file_rejects_non_integer_entries(tmp_path, field, value):
+    payload = {"format": "padic-digits-v1", "p": 2, "precision": 3, "digits": [1, 0, 1]}
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="integers"):
         load_digit_file(path)

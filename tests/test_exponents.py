@@ -148,33 +148,24 @@ def test_build_report_single_chain(lacunary_chain_mult):
         build_report()
 
 
-def test_report_round_trip(tmp_path, lacunary_chain_sup, lacunary_chain_mult):
-    report = build_report(lacunary_chain_sup, lacunary_chain_mult)
+@pytest.mark.parametrize(
+    "chains", [("lacunary_chain_sup", "lacunary_chain_mult"), (None, "factorial_chain_mult")]
+)
+def test_report_round_trip(tmp_path, request, chains):
+    sup, mult = (None if name is None else request.getfixturevalue(name) for name in chains)
+    report = build_report(sup, mult)
     path = tmp_path / "report.json"
     save_report(report, path.as_posix())
-    loaded = load_report(path.as_posix())
-    assert loaded.mu == report.mu
-    assert loaded.mu_times == report.mu_times
-    assert loaded.hat_mu == report.hat_mu
-    assert loaded.hat_mu_times == report.hat_mu_times
-    assert loaded.burn_in == report.burn_in
-    assert loaded.precision_limited == report.precision_limited
-    assert [row.k for row in loaded.pointwise] == [
-        row.k for row in report.pointwise
-    ]
-    assert [row.tau for row in loaded.pointwise] == [
-        row.tau for row in report.pointwise
-    ]
-    assert [row.uniform_term for row in loaded.pointwise] == [
-        row.uniform_term for row in report.pointwise
-    ]
+    assert load_report(path.as_posix()) == report
 
 
 def test_report_dict_shape(lacunary_chain_mult):
     report = build_report(chain_mult=lacunary_chain_mult)
     data = report_to_dict(report)
     assert data["mu"] is None
-    assert set(data["pointwise"][0]) == {"k", "tau", "uniform_term"}
+    assert set(data["pointwise"][0]) == {
+        "k", "valuation", "log_height", "tau", "uniform_term"
+    }
 
 
 @pytest.mark.parametrize(
