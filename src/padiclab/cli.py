@@ -59,13 +59,6 @@ SWEEP_FIELDS = (
 )
 
 
-def _parse_exponents(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed exponent list {text!r}") from exc
-
-
 def _parse_growth(text: str) -> float:
     if not text.startswith("pow:"):
         raise ValueError(f"unsupported growth spec {text!r}; expected pow:<d>")
@@ -108,11 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="build a digit file")
     kinds = construct.add_subparsers(dest="kind", required=True)
 
-    lac = kinds.add_parser("lacunary", help="sparse 0/1 digits at given exponents")
+    lac = kinds.add_parser("lacunary", help="sparse 0/1 digits with power-law gaps")
     lac.add_argument("--p", type=int, required=True)
-    group = lac.add_mutually_exclusive_group(required=True)
-    group.add_argument("--exponents", type=str)
-    group.add_argument("--growth", type=str, help="pow:<d> power-law gaps")
+    lac.add_argument("--growth", type=str, required=True, help="pow:<d> power-law gaps")
     lac.add_argument("--terms", type=int, default=9)
     lac.add_argument("-o", "--out", type=str, required=True)
 
@@ -150,14 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     approx = sub.add_parser("approx", help="compute a best-approximation chain")
     approx.add_argument("--xi", type=str, required=True)
     approx.add_argument("--norm", choices=NORMS, required=True)
-    approx.add_argument("--max-level", type=int, default=None)
     approx.add_argument(
-        "--oracle", action="store_true",
-        help="rebuild the chain by exhaustive enumeration (needs --height-bound)",
-    )
-    approx.add_argument(
-        "--height-bound", type=int, default=None,
-        help="sup-height (or product) cap for --oracle",
+        "--oracle", type=int, default=None, metavar="BOUND",
+        help="rebuild the chain by exhaustive enumeration up to this"
+        " sup height (or product)",
     )
     approx.add_argument("-o", "--out", type=str, required=True)
 
@@ -169,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chain-sup", type=str, default=None,
         help="optional classical chain CSV to fill mu and hat_mu",
     )
-    est.add_argument("--burn-in", type=float, default=0.2)
     est.add_argument("-o", "--out", type=str, required=True)
 
     ver = sub.add_parser("verify", help="run checks on a report")
@@ -198,13 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="exponent estimates across gap growths")
     sweep.add_argument("--p", type=int, required=True)
-    grid = sweep.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--grid", type=str, help="comma-separated d values")
-    grid.add_argument("--d-from", type=float, default=None)
-    sweep.add_argument("--d-to", type=float, default=None)
-    sweep.add_argument("--d-step", type=float, default=0.5)
+    sweep.add_argument("--grid", type=str, required=True, help="comma-separated d values")
     sweep.add_argument("--terms", type=int, default=8)
-    sweep.add_argument("--burn-in", type=float, default=0.2)
     sweep.add_argument("-o", "--out", type=str, required=True)
 
     return parser
@@ -212,11 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "lacunary":
-        if args.exponents is not None:
-            exponents = _parse_exponents(args.exponents)
-        else:
-            d = _parse_growth(args.growth)
-            exponents = lacunary_pow_exponents(d, args.terms)
+        exponents = lacunary_pow_exponents(_parse_growth(args.growth), args.terms)
         xi = build_lacunary(LacunarySpec(p=args.p, exponents=exponents))
     elif args.kind == "factorial":
         xi = build_factorial(args.p, args.terms)
@@ -247,16 +224,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     xi = load_digit_file(args.xi)
-    if args.oracle:
-        if args.height_bound is None:
-            raise ValueError("--oracle requires --height-bound")
-        if args.max_level is not None:
-            raise ValueError("--max-level does not apply to --oracle")
-        result = oracle_chain(xi, args.norm, args.height_bound)
+    if args.oracle is None:
+        result = chain(xi, args.norm)
     else:
-        if args.height_bound is not None:
-            raise ValueError("--height-bound requires --oracle")
-        result = chain(xi, args.norm, args.max_level)
+        result = oracle_chain(xi, args.norm, args.oracle)
     save_chain_csv(result, args.out)
     print(f"wrote {len(result.entries)} chain entries to {args.out}")
     if result.precision_limited:
@@ -278,7 +249,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         chain_sup = chain_from_entries(
             args.p, NORM_SUP, load_chain_entries(args.chain_sup)
         )
-    report = build_report(chain_sup, chain_mult, burn_in=args.burn_in)
+    report = build_report(chain_sup, chain_mult)
     save_report(report, args.out)
     print(f"wrote exponent report to {args.out}")
     return 0
@@ -321,11 +292,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["all_passed"] else 1
 
 
-def _sweep_row(p: int, d: float, terms: int, burn_in: float) -> dict:
+def _sweep_row(p: int, d: float, terms: int) -> dict:
     xi = build_lacunary(LacunarySpec(p=p, exponents=lacunary_pow_exponents(d, terms)))
-    report = build_report(
-        chain(xi, "sup"), chain(xi, "mult"), burn_in=burn_in
-    )
+    report = build_report(chain(xi, "sup"), chain(xi, "mult"))
     return {
         "d": d,
         "mu_est": report.mu,
@@ -336,26 +305,8 @@ def _sweep_row(p: int, d: float, terms: int, burn_in: float) -> dict:
     }
 
 
-def _sweep_grid(args: argparse.Namespace) -> list[float]:
-    if args.grid is not None:
-        return _parse_grid(args.grid)
-    if args.d_to is None:
-        raise ValueError("--d-from requires --d-to")
-    if args.d_step <= 0:
-        raise ValueError(f"--d-step must be positive, got {args.d_step}")
-    if args.d_to < args.d_from:
-        raise ValueError("--d-to must be at least --d-from")
-    grid = []
-    k = 0
-    while (d := args.d_from + k * args.d_step) <= args.d_to + 1e-9:
-        grid.append(round(d, 12))
-        k += 1
-    return grid
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _sweep_grid(args)
-    rows = [_sweep_row(args.p, d, args.terms, args.burn_in) for d in grid]
+    rows = [_sweep_row(args.p, d, args.terms) for d in _parse_grid(args.grid)]
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_FIELDS)
         writer.writeheader()

@@ -32,13 +32,19 @@ from .core import (
     int_to_decimal,
     is_prime,
     make_pair,
-    truncation_integer,
+    residue,
 )
 
-DEFAULT_MAX_DIGITS = 1_000_000
+_MAX_DIGITS = 1_000_000
+# The surgery source is a Schneider limit and may run to twice that.
+_WITNESS_MAX_DIGITS = 2 * _MAX_DIGITS
 
 # Extra offset of each surgery interval start above ceil(t*mu) + 1.
 _C_MARGIN = 3
+
+# Every exponent-driven Schneider target is at least 2 + _EPSILON, and the
+# surgery source fills the gaps between its spikes at exactly that target.
+_EPSILON = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +92,11 @@ class LacunarySpec:
         return min(ratios), max(ratios)
 
 
-def build_lacunary(spec: LacunarySpec, max_digits: int = DEFAULT_MAX_DIGITS) -> PAdicNumber:
+def build_lacunary(spec: LacunarySpec) -> PAdicNumber:
     """The number with digit 1 exactly at the requested exponent positions."""
     precision = spec.exponents[-1] + 1
-    if precision > max_digits:
-        raise ValueError(f"precision {precision} exceeds digit cap {max_digits}")
+    if precision > _MAX_DIGITS:
+        raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
     return from_value(spec.p, sum(spec.p**a for a in spec.exponents), precision)
 
 
@@ -106,7 +112,7 @@ def lacunary_pow_exponents(d: float, terms: int) -> tuple[int, ...]:
     return tuple(out[:terms])
 
 
-def build_factorial(p: int, terms: int, max_digits: int = DEFAULT_MAX_DIGITS) -> PAdicNumber:
+def build_factorial(p: int, terms: int) -> PAdicNumber:
     """The number with digit 1 exactly at positions 1!, 2!, ..., terms!."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
@@ -116,8 +122,8 @@ def build_factorial(p: int, terms: int, max_digits: int = DEFAULT_MAX_DIGITS) ->
         f *= j
         positions.append(f)
     precision = positions[-1] + 1
-    if precision > max_digits:
-        raise ValueError(f"precision {precision} exceeds digit cap {max_digits}")
+    if precision > _MAX_DIGITS:
+        raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
     return from_value(p, sum(p**pos for pos in positions), precision)
 
 
@@ -241,9 +247,16 @@ def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
 def _next_block(state: SchneiderState, mu: Fraction) -> int:
     """The block exponent that realizes target mu at the last pair (>= 1)."""
     n = state.n_last
-    g = select_block_exponent(state.p, state.height(n), state.block_sum(n), mu)
+    height, ell = state.height(n), state.block_sum(n)
+    g = select_block_exponent(state.p, height, ell, mu)
     if g < 1:
-        raise ValueError(f"selected block exponent {g} < 1 at index {n}")
+        a, b = mu.numerator, mu.denominator
+        raise ValueError(
+            f"selected block exponent {g} < 1 at index {n}: target {mu} = a/b "
+            "needs H**a >= p**(b*(ell + 1)), but height H = "
+            f"{int_to_decimal(height)} and ledger valuation ell = {ell} give "
+            f"H**{a} < {state.p}**{b * (ell + 1)}"
+        )
     return g
 
 
@@ -259,7 +272,6 @@ def schneider_exponent_driven(
     p: int,
     mu_seq: Sequence[Fraction] | Fraction | int | float,
     steps: int,
-    epsilon: Fraction = Fraction(1, 2),
 ) -> tuple[SchneiderState, PAdicNumber]:
     """Drive the Schneider recursion so each step realizes a target exponent.
 
@@ -272,15 +284,21 @@ def schneider_exponent_driven(
     A trailing block is selected for the last pair (so its ledger valuation
     is known), then the limit is materialized at exactly that precision.
     The sequence may be a scalar (constant target) or a list whose last
-    entry repeats; every used entry must be >= 2 + epsilon.
+    entry repeats; every used entry must be >= 2 + _EPSILON = 5/2.
+
+    Small targets can fail to start.  For 5/2 <= mu < 3 the first driven
+    block is g = 1, so the first driven pair is (p, p + 1) at index 2 with
+    ledger valuation 2, and its block needs (p + 1)**a >= p**(3*b) for
+    mu = a/b.  That fails for p >= 5 at mu = 5/2 and for p = 7 at
+    mu = 11/4, and the constructor raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     state = schneider_step(schneider_initial(p), 1, None)  # bootstrap block
     for n in range(1, steps + 1):
         mu_n = _mu_at(mu_seq, n - 1)
-        if mu_n < 2 + epsilon:
-            raise ValueError(f"target exponent {mu_n} below 2 + {epsilon}")
+        if mu_n < 2 + _EPSILON:
+            raise ValueError(f"target exponent {mu_n} below 2 + {_EPSILON}")
         g = _next_block(state, mu_n)
         if n < steps:
             state = schneider_step(state, g, mu_n)
@@ -485,16 +503,14 @@ def build_ratio_witness(
     t: Fraction,
     mu: Fraction,
     *,
-    epsilon: Fraction = Fraction(1, 2),
     sigma1_target: int = 9,
     gap_multiplier: int = 10,
     num_spikes: int = 2,
-    max_digits: int = 2 * DEFAULT_MAX_DIGITS,
 ) -> RatioWitness:
     """Build the digit-surgery witness for the exponent pair (t*mu, 2*mu).
 
     The source number comes from the exponent-driven Schneider recursion
-    with filler target 2 + epsilon and isolated spikes at target t*mu; the
+    with filler target 2 + _EPSILON and isolated spikes at target t*mu; the
     spike convergents are the source approximations.  Each source position
     is the floor base-p log of the spike convergent's height, spikes are
     spaced so each interval ends well before the next source position, and
@@ -507,9 +523,9 @@ def build_ratio_witness(
     if num_spikes < 1:
         raise ValueError("need at least one spike")
     tilde = t * mu
-    if tilde < 2 + epsilon:
-        raise ValueError(f"spike target {tilde} below 2 + {epsilon}")
-    filler = 2 + epsilon
+    filler = 2 + _EPSILON
+    if tilde < filler:
+        raise ValueError(f"spike target {tilde} below 2 + {_EPSILON}")
     c_offset = -(-tilde.numerator // tilde.denominator) + 1 + _C_MARGIN  # ceil(t*mu)+1+3
 
     state = schneider_step(schneider_initial(p), 1, None)
@@ -528,14 +544,14 @@ def build_ratio_witness(
             target = gap_multiplier * tau + 20
         else:
             state = schneider_step(state, _next_block(state, filler), filler)
-        if state.block_sum(state.n_last) > max_digits:
+        if state.block_sum(state.n_last) > _WITNESS_MAX_DIGITS:
             raise ValueError("digit cap exceeded while placing spikes")
 
     spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
     needed = spec.taus[-1] + 2
     while state.block_sum(state.n_last) < needed:
         state = schneider_step(state, _next_block(state, filler), filler)
-        if state.block_sum(state.n_last) > max_digits:
+        if state.block_sum(state.n_last) > _WITNESS_MAX_DIGITS:
             raise ValueError("digit cap exceeded while extending the source")
 
     num, den = state.pair(state.n_last)
@@ -547,7 +563,7 @@ def build_ratio_witness(
     source_pairs = tuple(make_pair(zeta, *state.pair(n)) for n in spike_indices)
     spike_pairs = tuple(surgery_pairs(xi, source_pairs, result.partials))
     truncation_pairs = tuple(
-        make_pair(xi, truncation_integer(xi, nu), 1) for nu in spec.nus
+        make_pair(xi, residue(xi, nu + 1), 1) for nu in spec.nus
     )
     return RatioWitness(
         p=p,

@@ -319,16 +319,6 @@ def residue(xi: PAdicNumber, v: int) -> int:
     return xi.value % xi.p**v
 
 
-def truncation_integer(xi: PAdicNumber, cutoff: int) -> int:
-    """The integer sum of digit terms up to and including index ``cutoff``.
-
-    The result T satisfies v_p(xi - T) >= cutoff + 1.
-    """
-    if cutoff >= xi.precision:
-        raise ValueError(f"cutoff {cutoff} must be < precision {xi.precision}")
-    return residue(xi, cutoff + 1)
-
-
 def linear_form_valuation(xi: PAdicNumber, x: int, y: int) -> Valuation:
     """Valuation of the linear form ``y*xi - x``.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .lattice import (
     NORM_MULT,
@@ -50,6 +50,9 @@ class PointwiseExponent:
     log_height: float
     tau: float | None
     uniform_term: float | None
+
+
+_POINTWISE_FIELDS = tuple(f.name for f in fields(PointwiseExponent))
 
 
 def pointwise(chain: BestApproxChain) -> tuple[PointwiseExponent, ...]:
@@ -189,8 +192,30 @@ def save_report(report: ExponentReport, path: str) -> None:
         handle.write("\n")
 
 
+def _exact_field(data: dict, name: str, kind: type) -> int | bool:
+    value = data[name]
+    if type(value) is not kind:  # exact, because bool is a subclass of int
+        raise ValueError(f"report field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _float_field(data: dict, name: str, nullable: bool = True) -> float | None:
+    value = data[name]
+    if value is None and nullable:
+        return None
+    if type(value) not in (int, float):
+        raise ValueError(f"report field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_report(path: str) -> ExponentReport:
-    """Read a report back; raises ValueError on malformed content."""
+    """Read a report back; raises ValueError on malformed content.
+
+    Every field must be present with its JSON type: integers (not booleans)
+    for ``k``, ``valuation`` and ``burn_in``, a boolean for
+    ``precision_limited`` and numbers (or null where the field is optional)
+    for the exponents, so a saved report loads back unchanged.
+    """
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -198,33 +223,28 @@ def load_report(path: str) -> ExponentReport:
             raise ValueError(f"malformed report JSON in {path!r}") from exc
     if not isinstance(data, dict) or not set(REPORT_FIELDS) <= set(data):
         raise ValueError(f"report JSON missing required fields in {path!r}")
+    if not isinstance(data["pointwise"], list):
+        raise ValueError("report field 'pointwise' must be a list")
     rows = []
     for raw in data["pointwise"]:
-        if not isinstance(raw, dict) or "k" not in raw:
+        if not isinstance(raw, dict) or not set(_POINTWISE_FIELDS) <= set(raw):
             raise ValueError(f"malformed pointwise row {raw!r}")
         rows.append(
             PointwiseExponent(
-                k=int(raw["k"]),
-                valuation=int(raw.get("valuation", 0)),
-                log_height=float(raw.get("log_height", 0.0)),
-                tau=None if raw.get("tau") is None else float(raw["tau"]),
-                uniform_term=(
-                    None
-                    if raw.get("uniform_term") is None
-                    else float(raw["uniform_term"])
-                ),
+                k=_exact_field(raw, "k", int),
+                valuation=_exact_field(raw, "valuation", int),
+                log_height=_float_field(raw, "log_height", nullable=False),
+                tau=_float_field(raw, "tau"),
+                uniform_term=_float_field(raw, "uniform_term"),
             )
         )
-    def opt(name: str) -> float | None:
-        return None if data[name] is None else float(data[name])
-
     return ExponentReport(
-        mu=opt("mu"),
-        mu_times=opt("mu_times"),
-        hat_mu=opt("hat_mu"),
-        hat_mu_times=opt("hat_mu_times"),
-        burn_in=int(data["burn_in"]),
-        precision_limited=bool(data["precision_limited"]),
+        mu=_float_field(data, "mu"),
+        mu_times=_float_field(data, "mu_times"),
+        hat_mu=_float_field(data, "hat_mu"),
+        hat_mu_times=_float_field(data, "hat_mu_times"),
+        burn_in=_exact_field(data, "burn_in", int),
+        precision_limited=_exact_field(data, "precision_limited", bool),
         pointwise=tuple(rows),
     )
 

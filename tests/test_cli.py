@@ -7,6 +7,7 @@ the printed summaries.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -19,7 +20,7 @@ import pytest
 import padiclab
 import reference
 from padiclab import from_rational, load_report, save_digit_file, save_report
-from padiclab.cli import SWEEP_FIELDS, main
+from padiclab.cli import SWEEP_FIELDS, build_parser, main
 
 
 def run_cli(*argv: str) -> int:
@@ -29,6 +30,45 @@ def run_cli(*argv: str) -> int:
 def read_csv_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+# ---------------------------------------------------------------------------
+# option surface
+# ---------------------------------------------------------------------------
+
+# Every option of every subcommand, help excluded: 46 in all.  A new or
+# removed option shows up as a diff against this table.
+CLI_OPTIONS = {
+    "construct lacunary": ("--p", "--growth", "--terms", "-o/--out"),
+    "construct factorial": ("--p", "--terms", "-o/--out"),
+    "construct rule": ("--p", "--rule", "--precision", "--seed", "-o/--out"),
+    "construct schneider": ("--p", "--mu", "--steps", "-o/--out", "--ledger"),
+    "construct surgery": (
+        "--p", "--t", "--mu", "--spikes", "--sigma1", "--gap-multiplier", "-o/--out",
+    ),
+    "approx": ("--xi", "--norm", "--oracle", "-o/--out"),
+    "estimate": ("--chain", "--p", "--norm", "--chain-sup", "-o/--out"),
+    "verify": (
+        "--report", "--tol", "--lacunary-c", "--lacunary-d", "--chain", "--p",
+        "--checks", "--exact-checks", "-o/--out",
+    ),
+    "sweep": ("--p", "--grid", "--terms", "-o/--out"),
+}
+
+
+def parser_options(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    options: dict[str, tuple[str, ...]] = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                options.update(parser_options(child, f"{path} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            options[path] = options.get(path, ()) + ("/".join(action.option_strings),)
+    return options
+
+
+def test_cli_option_surface_is_pinned():
+    assert parser_options(build_parser()) == CLI_OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +159,7 @@ def test_approx_oracle_matches_fast_chain_prefix(tmp_path):
     ) == 0
     assert run_cli(
         "approx", "--xi", str(digit_file), "--norm", "sup",
-        "--oracle", "--height-bound", "40", "-o", str(oracle_csv),
+        "--oracle", "40", "-o", str(oracle_csv),
     ) == 0
     fast = [r for r in read_csv_rows(fast_csv) if int(r["height_sup"]) <= 40]
     oracle = read_csv_rows(oracle_csv)
@@ -139,7 +179,7 @@ def test_approx_oracle_csv_matches_reference_oracle(tmp_path, norm, bound):
     )
     assert run_cli(
         "approx", "--xi", str(digit_file), "--norm", norm,
-        "--oracle", "--height-bound", str(bound), "-o", str(oracle_csv),
+        "--oracle", str(bound), "-o", str(oracle_csv),
     ) == 0
     xi = padiclab.load_digit_file(digit_file)
     padiclab.save_chain_csv(
@@ -226,27 +266,6 @@ def test_approx_rejects_non_integer_digit_file_entries(tmp_path, capsys, p, digi
     assert "integers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv_tail, needle",
-    [
-        (("--oracle",), "--height-bound"),
-        (("--height-bound", "50"), "--oracle"),
-    ],
-)
-def test_approx_oracle_flag_pairing_is_enforced(tmp_path, capsys, argv_tail, needle):
-    digit_file = tmp_path / "xi.json"
-    run_cli(
-        "construct", "rule", "--p", "2", "--rule", "random", "--seed", "1",
-        "--precision", "8", "-o", str(digit_file),
-    )
-    capsys.readouterr()
-    assert run_cli(
-        "approx", "--xi", str(digit_file), "--norm", "sup",
-        *argv_tail, "-o", str(tmp_path / "c.csv"),
-    ) == 2
-    assert needle in capsys.readouterr().err
-
-
 def _tiny_report(tmp_path) -> Path:
     digit_file = tmp_path / "xi.json"
     chain_csv = tmp_path / "chain.csv"
@@ -287,6 +306,16 @@ def test_verify_output_file_is_optional(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == before
 
 
+def test_verify_exits_2_on_mistyped_report(tmp_path, capsys):
+    report_json = _tiny_report(tmp_path)
+    data = json.loads(report_json.read_text())
+    data["precision_limited"] = "false"
+    report_json.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "--report", str(report_json)) == 2
+    assert "'precision_limited' must be bool" in capsys.readouterr().err
+
+
 def test_verify_exits_1_on_failing_report(tmp_path, capsys):
     report_json = _tiny_report(tmp_path)
     broken = dataclasses.replace(load_report(report_json), hat_mu_times=5.0)
@@ -315,28 +344,6 @@ def test_sweep_grid_writes_prediction_columns(tmp_path):
     assert float(rows[1]["predicted_mu"]) == 3.0
     assert float(rows[1]["predicted_mu_times"]) == 6.0
     assert float(rows[1]["mu_est"]) == pytest.approx(3.0, abs=0.5)
-
-
-def test_sweep_range_with_threads_matches_grid(tmp_path):
-    grid_csv = tmp_path / "grid.csv"
-    range_csv = tmp_path / "range.csv"
-    run_cli(
-        "sweep", "--p", "2", "--grid", "2.5,3.0", "--terms", "6",
-        "-o", str(grid_csv),
-    )
-    assert run_cli(
-        "sweep", "--p", "2", "--d-from", "2.5", "--d-to", "3.0",
-        "--d-step", "0.5", "--terms", "6", "-o", str(range_csv),
-    ) == 0
-    assert grid_csv.read_bytes() == range_csv.read_bytes()
-
-
-def test_sweep_range_validation(tmp_path, capsys):
-    assert run_cli(
-        "sweep", "--p", "2", "--d-from", "3.0", "--d-to", "2.0",
-        "-o", str(tmp_path / "s.csv"),
-    ) == 2
-    assert "--d-to" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,9 @@ def test_build_lacunary_value():
 
 
 def test_build_lacunary_respects_digit_cap():
-    with pytest.raises(ValueError):
-        build_lacunary(LacunarySpec(2, (0, 10, 100)), max_digits=50)
+    # Past the one-million-digit cap: refused before any digit is built.
+    with pytest.raises(ValueError, match="digit cap"):
+        build_lacunary(LacunarySpec(2, (0, 1, 2_000_000)))
 
 
 def test_lacunary_pow_exponents():
@@ -221,7 +222,24 @@ def test_exponent_driven_validation():
     with pytest.raises(ValueError):
         schneider_exponent_driven(2, Fraction(5, 2), 0)
     with pytest.raises(ValueError):
-        schneider_exponent_driven(2, Fraction(2), 5)  # below 2 + epsilon
+        schneider_exponent_driven(2, Fraction(2), 5)  # below 5/2
+
+
+@pytest.mark.parametrize(
+    "p, mu, condition",
+    [(5, Fraction(5, 2), "H = 6 and ledger valuation ell = 2 give H**5 < 5**6"),
+     (7, Fraction(11, 4), "H = 8 and ledger valuation ell = 2 give H**11 < 7**12")],
+    ids=("p5-mu5_2", "p7-mu11_4"),
+)
+def test_exponent_driven_start_failure_names_the_condition(p, mu, condition):
+    # The first driven pair (p, p + 1) needs (p + 1)**a >= p**(3*b).
+    with pytest.raises(ValueError) as info:
+        schneider_exponent_driven(p, mu, 5)
+    message = str(info.value)
+    assert message.startswith("selected block exponent 0 < 1 at index 2: ")
+    assert "needs H**a >= p**(b*(ell + 1))" in message
+    assert message.endswith(condition)
+    assert (p + 1) ** mu.numerator < p ** (3 * mu.denominator)
 
 
 def test_schneider_ledger_csv(tmp_path):

@@ -26,7 +26,6 @@ from padiclab import (
     pval,
     residue,
     save_digit_file,
-    truncation_integer,
 )
 from padiclab.core import decimal_to_int, int_to_decimal
 
@@ -253,11 +252,8 @@ def test_residue_and_truncation():
     assert residue(xi, 2) == 3
     assert residue(xi, 3) == 3
     assert residue(xi, 4) == 11
-    assert truncation_integer(xi, 2) == 3
     with pytest.raises(ValueError):
         residue(xi, 5)
-    with pytest.raises(ValueError):
-        truncation_integer(xi, 4)
 
 
 @given(
@@ -272,7 +268,7 @@ def test_truncation_valuation_invariant(p, seed, cutoff):
     digits = [rng.randrange(p) for _ in range(20)]
     digits[0] = max(digits[0], 1)
     xi = from_digits(p, digits)
-    t = truncation_integer(xi, cutoff)
+    t = residue(xi, cutoff + 1)
     assert (xi.value - t) % p ** (cutoff + 1) == 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -168,6 +169,36 @@ def test_report_dict_shape(lacunary_chain_mult):
     }
 
 
+def report_text(drop: str | None = None, **changes) -> str:
+    """A well-formed one-row report, with top-level or row fields changed.
+
+    ``changes`` keys name a top-level field or ``row_<field>``; ``drop``
+    removes one row field.
+    """
+    row = {"k": 0, "valuation": 3, "log_height": 1.5, "tau": 1.4, "uniform_term": None}
+    data = {
+        "mu": None, "mu_times": 6.0, "hat_mu": None, "hat_mu_times": 3,
+        "burn_in": 2, "precision_limited": False, "pointwise": [row],
+    }
+    for name, value in changes.items():
+        if name.startswith("row_"):
+            row[name[len("row_"):]] = value
+        else:
+            data[name] = value
+    if drop is not None:
+        del row[drop]
+    return json.dumps(data)
+
+
+def test_load_report_accepts_the_well_formed_template(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(report_text())
+    report = load_report(path.as_posix())
+    assert report.hat_mu_times == 3.0 and isinstance(report.hat_mu_times, float)
+    assert report.pointwise[0].valuation == 3
+    assert report.precision_limited is False
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -176,6 +207,20 @@ def test_report_dict_shape(lacunary_chain_mult):
         '{"mu": 2.0}',
         '{"mu": null, "mu_times": null, "hat_mu": null, "hat_mu_times": null,'
         ' "burn_in": 2, "precision_limited": false, "pointwise": [{"tau": 1}]}',
+        pytest.param(report_text(precision_limited="false"), id="limited-string"),
+        pytest.param(report_text(precision_limited=0), id="limited-int"),
+        pytest.param(report_text(mu=True), id="mu-bool"),
+        pytest.param(report_text(mu="3.0"), id="mu-string"),
+        pytest.param(report_text(burn_in=2.9), id="burn_in-float"),
+        pytest.param(report_text(burn_in=True), id="burn_in-bool"),
+        pytest.param(report_text(pointwise={"k": 0}), id="pointwise-dict"),
+        pytest.param(report_text(row_k=1.7), id="k-float"),
+        pytest.param(report_text(row_k=False), id="k-bool"),
+        pytest.param(report_text(row_log_height=None), id="log_height-null"),
+        pytest.param(report_text(row_tau="1.4"), id="tau-string"),
+        pytest.param(report_text(drop="valuation"), id="no-valuation"),
+        pytest.param(report_text(drop="log_height"), id="no-log_height"),
+        pytest.param(report_text(drop="uniform_term"), id="no-uniform_term"),
     ],
 )
 def test_load_report_rejects_malformed(tmp_path, content):

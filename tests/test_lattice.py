@@ -30,8 +30,8 @@ from padiclab import (
     make_pair,
     oracle_chain,
     pval,
+    residue,
     save_chain_csv,
-    truncation_integer,
     uniform_minimum,
     uniform_minimum_enum,
 )
@@ -351,7 +351,7 @@ def test_lacunary_chain_entries(lacunary_xi, lacunary_chain_mult):
     assert [e.val.value for e in tail] == [27, 81, 243, 729, 2187, 6561]
     for entry in tail:
         assert entry.y == 1
-        assert entry.x == truncation_integer(lacunary_xi, entry.val.value - 1)
+        assert entry.x == residue(lacunary_xi, entry.val.value)
     assert lacunary_chain_mult.precision_ceiling == 6562
 
 
@@ -362,7 +362,7 @@ def test_factorial_chain_entries(factorial_xi, factorial_chain_mult):
     assert [e.val.value for e in tail] == [24, 120, 720, 5040]
     for entry in tail:
         assert entry.y == 1
-        assert entry.x == truncation_integer(factorial_xi, entry.val.value - 1)
+        assert entry.x == residue(factorial_xi, entry.val.value)
 
 
 # ---------------------------------------------------------------------------
