@@ -29,6 +29,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Below this many digits the quadratic schoolbook conversion wins.
 _NAIVE_DIGIT_THRESHOLD = 128
 
+# Maps the ASCII bits "0"/"1" to the digit values 0/1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 # Chunk sizes for decimal text, well inside CPython's 4300-digit limit on
 # int <-> str conversion (3000 digits; 9000 bits is about 2710 digits).
 _DECIMAL_CHUNK_DIGITS = 3000
@@ -125,6 +128,12 @@ def int_to_digits(n: int, p: int, count: int) -> list[int]:
 
 
 def _int_to_digits(n: int, p: int, count: int) -> list[int]:
+    if p == 2:
+        # Read the bits off one binary string (bytes 0/1 after translate)
+        # instead of one divmod per digit.
+        if count == 0:
+            return []
+        return list(format(n, f"0{count}b")[::-1].encode().translate(_BIT_VALUES))
     if count <= _NAIVE_DIGIT_THRESHOLD:
         out = []
         for _ in range(count):

@@ -13,12 +13,14 @@ assemble the minimisers into the staircase of record pairs
 (strictly increasing heights and valuations).
 
 The enumeration oracle rebuilds the same chains from scratch so the fast
-path can be cross-validated: it streams centered-residue ladders, reads
+path can be cross-validated: level by level it scans the box for the
+smallest metric of a pair with at least that valuation (only up to the
+smallest metric found so far), keeps the best pair of that metric, and
+resumes at the next level the staircase allows.  ``uniform_minimum``
+evaluates the uniform (min-over-a-box) side of the problem from a chain,
+``uniform_minimum_enum`` by enumerating centered-residue ladders, reading
 each candidate's valuation off the length of its run (a residue that holds
-through level L and changes at L + 1 has valuation L), keeps the best
-candidate per metric and builds pairs only for the staircase.
-``uniform_minimum`` evaluates the uniform (min-over-a-box) side of the
-problem from a chain, ``uniform_minimum_enum`` from the same ladders.
+through level L and changes at L + 1 has valuation L).
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def _ladder_runs(t: int, p: int, levels: int, bound: int):
 def _ladder_candidates(xi: PAdicNumber, norm: str, bound: int):
     """Yield (x, y, val), y > 0, for every ladder pair of the box ``bound``.
 
+    Only :func:`uniform_minimum_enum` enumerates these; the oracle chain
+    searches level by level instead.
+
     The sup box scans every y up to ``bound``.  The product box scans
     y <= sqrt(bound), and every small |x| through the inverted congruence:
     writing xi = p^w * eta with eta a unit, pairs of valuation above w have
@@ -343,63 +348,157 @@ def _ladder_candidates(xi: PAdicNumber, norm: str, bound: int):
                 yield -x, -y, w + last
 
 
+def _signed_residues(t: int, modulus: int) -> tuple[int, ...]:
+    """Minimal-magnitude nonzero representatives of ``t`` in [0, modulus).
+
+    +-modulus when t is 0, and both signs on the half-modulus tie.
+    """
+    if t == 0:
+        return modulus, -modulus
+    twice = 2 * t
+    if twice < modulus:
+        return (t,)
+    if twice > modulus:
+        return (t - modulus,)
+    return t, t - modulus
+
+
+def _oracle_level(
+    xi: PAdicNumber, mult: bool, level: int, bound: int, unit: tuple[int, int]
+) -> tuple[int, tuple[int, int, bool, int]] | None:
+    """Smallest metric M <= ``bound`` of the level-``level`` lattice, and its best key.
+
+    The lattice is {x = y*xi (mod p^level), p not dividing y, x != 0}.  Per
+    y only the centered residue can minimise the metric, so the scan keeps
+    that one (both signs at +-p^level and on the half-modulus tie) and runs
+    while y <= M (sup) or y^2 <= M (product) for the best M so far.  Above
+    the zero levels, xi = p^w * eta with w = ``unit[0]``, every lattice x is
+    p^w * u with y = u / eta (mod p^(level - w)); the product norm scans
+    those x while x^2 <= M as well.  The key is (-val, |x|, x < 0, y), val
+    read from (y*xi - x) mod p^precision; None when M exceeds ``bound``.
+
+    Every pair of metric M is coprime (dividing out a common factor would
+    lower the metric), and the scan offers it: a member of its residue
+    class of smaller magnitude than x (or than y, for the product pairs
+    that the x side of the scan finds) would lower the metric too.  The one
+    gap would be a sup pair (x, M) with x off the centered residue, so
+    |x| >= p^level / 2.  Then the residue r of y = 1 < M has
+    |r| >= M >= p^level / 2, so xi vanishes mod p^level or p = 2 and
+    v(xi) = level - 1.  Every |x| is then at least p^level or p^(level - 1),
+    M is that power of p, and y = M is a multiple of p unless M = 1, where
+    +-1 are the two tie members.  So the key picks the same pair as an
+    enumeration over residue ladders.
+    """
+    p, n, value, full = xi.p, xi.precision, xi.value, xi.modulus
+    modulus = p**level
+    low = value % modulus
+    best, top, key = bound + 1, bound, None
+
+    def offer(metric: int, pairs) -> None:
+        nonlocal best, top, key
+        if metric < best:
+            best = top = metric
+            key = None
+        for x, y in pairs:
+            form = (y * value - x) % full
+            k = (-(pval(form, p) if form else n), abs(x), x < 0, y)
+            if key is None or k < key:
+                key = k
+
+    y = 1
+    if not mult:
+        while y <= top:
+            if y % p:
+                t = y * low % modulus
+                size = modulus - t if 2 * t > modulus else t or modulus
+                metric = size if size > y else y
+                if metric <= top:
+                    offer(metric, [(x, y) for x in _signed_residues(t, modulus)])
+            y += 1
+    else:
+        while y * y <= top:
+            if y % p:
+                t = y * low % modulus
+                size = modulus - t if 2 * t > modulus else t or modulus
+                if size * y <= top:
+                    offer(size * y, [(x, y) for x in _signed_residues(t, modulus)])
+            y += 1
+        w, inverse = unit
+        if level > w:
+            scale = p**w
+            unit_modulus = modulus // scale
+            inverse %= unit_modulus
+            u = 1
+            while (scale * u) ** 2 <= top:
+                if u % p:
+                    t = u * inverse % unit_modulus
+                    size = unit_modulus - t if 2 * t > unit_modulus else t or unit_modulus
+                    x = scale * u
+                    if x * size <= top:
+                        signed = _signed_residues(t, unit_modulus)
+                        offer(x * size, [(x if s > 0 else -x, abs(s)) for s in signed])
+                u += 1
+    if best > bound:
+        return None
+    return best, key
+
+
 def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
-    """Chain rebuilt by exhaustive enumeration, for cross-validation.
+    """Chain rebuilt by exhaustive search, for cross-validation.
 
     ``bound`` limits the sup height (classical norm) or the product |x*y|
-    (multiplicative norm).  Candidates stream from the ladders of
-    :func:`_ladder_candidates`, each with the valuation of its run, so no
-    walk machinery is shared with :func:`chain`.
+    (multiplicative norm).  The search runs over levels: at level l,
+    :func:`_oracle_level` scans the box for the smallest metric M_l of a
+    pair with valuation at least l and, among the pairs of metric M_l, the
+    best under the key (deeper valuation, smaller |x|, positive x, smaller
+    y).  No walk machinery is shared with :func:`chain`.
 
-    Only the best coprime candidate of each metric is kept, under the key
-    (deeper valuation, smaller |x|, positive x, smaller y).  That suffices:
-    any other pair of the same metric reaches no deeper, so the sweep's
-    valuation test (or the product norm's required-valuation test against
-    the same anchor) rejects it as well.  The sweep over the sorted metrics
-    stops at the first censored one.  Only the survivors and that censored
-    pair are built with :func:`make_pair`, and their exact valuations must
-    agree with the runs.
+    Entries follow the staircase rules of a sweep over the sorted metrics:
+    a pair of valuation ``val`` is a record and the search resumes at level
+    val + 1; a product pair that misses the required valuation against the
+    anchor (:func:`_mult_required_valuation`) sends the search to that
+    valuation, capped at the precision, since no pair of lower valuation can
+    enter the chain any more.  The search stops when M_l exceeds ``bound``
+    or at the first censored pair, whose level and metric set
+    ``precision_ceiling`` and ``ceiling_metric``.  Only the entries and that
+    censored pair are built with :func:`make_pair`, and their exact
+    valuations must agree with the scan.  Memory stays constant in the box.
     """
     _require_norm(norm)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    p, n = xi.p, xi.precision
+    p, n, value = xi.p, xi.precision, xi.value
     mult = norm == NORM_MULT
-    best: dict[int, tuple[int, int, bool, int]] = {}
-    for x, y, val in _ladder_candidates(xi, norm, bound):
-        size = abs(x)
-        metric = size * y if mult else max(size, y)
-        key = (-val, size, x < 0, y)
-        held = best.get(metric)
-        if (held is None or key < held) and math.gcd(x, y) == 1:
-            best[metric] = key
-
+    w = n if value == 0 else pval(value, p)
+    unit = (w, 0 if w == n else pow(value // p**w, -1, p ** (n - w)))
     entries: list[ApproxPair] = []
     anchor = (1, 0)
     ceiling: int | None = None
     ceiling_metric: int | None = None
-    max_val = 0
-    for metric in sorted(best):
-        neg_val, size, negative, y = best[metric]
+    level = 1
+    while level <= n:
+        found = _oracle_level(xi, mult, level, bound, unit)
+        if found is None:
+            break
+        metric, (neg_val, size, negative, y) = found
         val = -neg_val
-        # A coprime ladder pair has p not dividing y, so a run that reaches
-        # the precision is censored.
+        # p does not divide y, so a form vanishing to the precision is censored.
         censored = val == n
-        if not censored:
-            if val <= max_val:
-                continue
-            if mult and entries and val < _mult_required_valuation(p, anchor, metric):
+        if mult and entries and not censored:
+            required = _mult_required_valuation(p, anchor, metric)
+            if val < required:
+                level = min(required, n)
                 continue
         pair = make_pair(xi, -size if negative else size, y)
         if pair.val != Valuation(val, not censored):
-            raise AssertionError("ladder run disagrees with the exact valuation")
+            raise AssertionError("level search disagrees with the exact valuation")
         if censored:
             ceiling, ceiling_metric = val, metric
             break
         if mult:
             anchor = _next_anchor(p, anchor, metric, val)
         entries.append(pair)
-        max_val = val
+        level = val + 1
     return BestApproxChain(
         p=p,
         norm=norm,

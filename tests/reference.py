@@ -2,12 +2,13 @@
 
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
-minimisers, the chunked valuation loop and the list scan for the product
-chain's required valuation, and the enumeration oracle and box minimum that
-build one ``ApproxPair`` per ladder candidate before sorting them.  The
-independence check is a plain all-pairs scan.  The Schneider block search is
-seeded by a float logarithm, and digit surgery edits the digit vector.  Tests
-require the package to agree with them exactly.
+minimisers, digit extraction by one divmod per digit, the chunked valuation
+loop and the list scan for the product chain's required valuation, and the
+enumeration oracle and box minimum that build one ``ApproxPair`` per ladder
+candidate before sorting them.  The independence check is a plain
+all-pairs scan.  The Schneider block search is seeded by a float logarithm,
+and digit surgery edits the digit vector.  Tests require the package to
+agree with them exactly.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def best_pair(p: int, modulus: int, r: int, norm: str) -> tuple[int, int]:
     if best_xy is None:
         raise AssertionError("front walk produced no candidate")
     return best_xy
+
+
+def int_to_digits(n: int, p: int, count: int) -> list[int]:
+    """Little-endian base-p digits of ``n mod p**count``, one divmod each."""
+    n %= p**count
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
 
 
 def pval(n: int, p: int) -> int:
@@ -211,7 +222,9 @@ def _inverse_ladder_pairs(
 def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
     """Sort every candidate by (metric, -valuation, tie key) and sweep once.
 
-    The product norm's required valuation is the list scan above.
+    The product norm's required valuation is the list scan above.  Returns
+    the entries, the censored pair's valuation and its metric (both None
+    when the box holds no censored pair before the sweep ends).
     """
     mult = norm == "mult"
 
@@ -229,11 +242,11 @@ def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
 
     entries: list[ApproxPair] = []
     accepted: list[tuple[int, int]] = []
-    ceiling = None
+    ceiling = ceiling_metric = None
     max_val = 0
     for pair in sorted(raw_pairs, key=sort_key):
         if not pair.val.is_exact:
-            ceiling = pair.val.value
+            ceiling, ceiling_metric = pair.val.value, metric(pair)
             break
         val = pair.val.value
         if val <= max_val:
@@ -245,7 +258,7 @@ def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
             accepted.append((product, val))
         entries.append(pair)
         max_val = val
-    return tuple(entries), ceiling
+    return tuple(entries), ceiling, ceiling_metric
 
 
 def oracle_chain(xi, norm: str, bound: int) -> BestApproxChain:
@@ -259,13 +272,14 @@ def oracle_chain(xi, norm: str, bound: int) -> BestApproxChain:
             seen.update(_ladder_pairs(xi, y, bound // y))
         seen.update(_inverse_ladder_pairs(xi, bound, math.isqrt(bound)))
     raw = [make_pair(xi, x, y) for x, y in seen if math.gcd(x, y) == 1]
-    entries, ceiling = _extract_staircase(xi.p, norm, raw)
+    entries, ceiling, ceiling_metric = _extract_staircase(xi.p, norm, raw)
     return BestApproxChain(
         p=xi.p,
         norm=norm,
         max_level=xi.precision,
         entries=entries,
         precision_ceiling=ceiling,
+        ceiling_metric=ceiling_metric,
     )
 
 

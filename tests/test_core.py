@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -127,6 +127,24 @@ def test_digit_conversion_round_trip(n, p, count):
     assert len(digits) == count
     assert all(0 <= d < p for d in digits)
     assert digits_to_int(digits, p) == n % p**count
+
+
+@given(
+    count=st.integers(min_value=0, max_value=700),
+    lead=st.integers(min_value=0, max_value=700),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(count=0, lead=0, seed=5)
+@example(count=1, lead=1, seed=0)
+@example(count=129, lead=0, seed=1)
+@example(count=257, lead=100, seed=2)
+def test_binary_digits_match_divmod_digits(count, lead, seed):
+    """The p = 2 path reads a binary string; it must give the divmod digits,
+    with leading zeros (values far below 2^count), count 0 and odd counts."""
+    n = random.Random(seed).getrandbits(max(0, count - lead))
+    assert int_to_digits(n, 2, count) == reference.int_to_digits(n, 2, count)
+    # Bits at and above 2^count are reduced away first.
+    assert int_to_digits(n + (3 << count), 2, count) == reference.int_to_digits(n, 2, count)
 
 
 def test_digits_to_int_long_vector():

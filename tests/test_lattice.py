@@ -261,10 +261,59 @@ def box_bound(xi, fraction):
 def test_oracle_matches_reference_enumeration(p, seed, norm, fraction):
     xi = short_number(p, seed, 1024)
     bound = box_bound(xi, fraction)
+    assert oracle_chain(xi, norm, bound) == reference.oracle_chain(xi, norm, bound)
+
+
+# Box caps that keep the reference enumeration cheap on 30-digit numbers:
+# the slowest case, a sup box of 1000 with v_2(xi) = 12, takes about 0.1 s.
+REFERENCE_BOX_CAPS = {NORM_SUP: 1000, NORM_MULT: 10**5}
+
+
+def thirty_digit_number(p, seed):
+    """30 random digits; half of the numbers are divisible by p^w with
+    p^w <= 4096 (w up to 12 at p = 2)."""
+    rng = random.Random(seed)
+    w = rng.randint(1, ilog(4096, p)) if rng.random() < 0.5 else 0
+    digits = [0] * w + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(29 - w)]
+    return from_digits(p, digits)
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    norm=st.sampled_from(NORMS),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_reference_on_thirty_digit_numbers(p, seed, norm, fraction):
+    """Boxes far below p^precision, where the level search stops at the bound."""
+    xi = thirty_digit_number(p, seed)
+    bound = max(1, round(REFERENCE_BOX_CAPS[norm] ** fraction))
+    assert oracle_chain(xi, norm, bound) == reference.oracle_chain(xi, norm, bound)
+
+
+@pytest.mark.parametrize(
+    "p, digits, norm, bound",
+    [
+        # xi = 0: every level is a zero level, down to the censored (p^n, 1).
+        (2, [0] * 10, NORM_SUP, 1100),
+        (2, [0] * 10, NORM_MULT, 5000),
+        (3, [0] * 6, NORM_MULT, 2000),
+        # v_2(xi) = 5: at level 6 every residue sits on the half-modulus tie,
+        # and the negative sign (-32, 1) reaches valuation 8.
+        (2, [0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0], NORM_MULT, 3000),
+        (2, [0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0], NORM_SUP, 200),
+        # The product pair after (1, 3) misses its required valuation, which
+        # lies past the precision; the search must still visit level 12 and
+        # find the censored pair of product 1027.
+        (2, [1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0], NORM_MULT, 3000),
+    ],
+)
+def test_oracle_edge_cases_match_reference(p, digits, norm, bound):
+    xi = from_digits(p, digits)
     fast = oracle_chain(xi, norm, bound)
-    slow = reference.oracle_chain(xi, norm, bound)
-    assert fast.entries == slow.entries
-    assert fast.precision_ceiling == slow.precision_ceiling
+    assert fast == reference.oracle_chain(xi, norm, bound)
+    assert fast.precision_ceiling == xi.precision
 
 
 def test_oracle_memory_stays_flat_at_high_valuation():
