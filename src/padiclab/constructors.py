@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     ApproxPair,

@@ -18,9 +18,9 @@ smallest metric of a pair with at least that valuation (only up to the
 smallest metric found so far), keeps the best pair of that metric, and
 resumes at the next level the staircase allows.  ``uniform_minimum``
 evaluates the uniform (min-over-a-box) side of the problem from a chain,
-``uniform_minimum_enum`` by enumerating centered-residue ladders, reading
-each candidate's valuation off the length of its run (a residue that holds
-through level L and changes at L + 1 has valuation L).
+``uniform_minimum_enum`` by the same level search: run to the deepest
+level on the box and on each box shrunk by a power of p, whose pairs it
+scales back.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (
     ilog,
     int_repr,
     int_to_decimal,
-    linear_form_valuation,
     make_pair,
     pval,
     residue,
@@ -263,91 +262,6 @@ def chain(
 # ---------------------------------------------------------------------------
 
 
-def _ladder_runs(t: int, p: int, levels: int, bound: int):
-    """Yield (x, last) for every centered residue x of t mod p^level.
-
-    Levels run from 1 to ``levels``.  When t vanishes mod p^level the
-    minimal nonzero representatives +-p^level stand in, and on a tie
-    (residue exactly half the modulus) both signed representatives appear.
-    The minimal nonzero magnitude never decreases with the level, so the
-    scan stops once it exceeds ``bound``.
-
-    A value x stays on the ladder from its first level through ``last``:
-    at every later level l it is a residue exactly when t = x (mod p^l),
-    because |x| <= p^l / 2 there.  So ``last`` is v_p(t - x) when that is
-    below ``levels``, and ``levels`` when t = x (mod p^levels).
-    """
-    run: tuple[int, ...] = ()
-    modulus = 1
-    for level in range(1, levels + 1):
-        modulus *= p
-        rem = t % modulus
-        if rem == 0:
-            if modulus > bound:
-                break
-            now = (modulus, -modulus)
-        else:
-            twice = 2 * rem
-            if twice > modulus:
-                rem -= modulus
-            if abs(rem) > bound:
-                break
-            now = (rem, rem - modulus) if twice == modulus else (rem,)
-        if now != run:
-            for x in run:
-                if x not in now:
-                    yield x, level - 1
-            run = now
-    else:
-        level = levels + 1
-    for x in run:
-        yield x, level - 1
-
-
-def _ladder_candidates(xi: PAdicNumber, norm: str, bound: int):
-    """Yield (x, y, val), y > 0, for every ladder pair of the box ``bound``.
-
-    Only :func:`uniform_minimum_enum` enumerates these; the oracle chain
-    searches level by level instead.
-
-    The sup box scans every y up to ``bound``.  The product box scans
-    y <= sqrt(bound), and every small |x| through the inverted congruence:
-    writing xi = p^w * eta with eta a unit, pairs of valuation above w have
-    x = p^w * u and y = u / eta (mod p^(precision - w)), whose ladder lists
-    the minimal-|y| representative of every level; pairs of valuation at
-    most w have p^v | x and are already covered by y = 1.
-
-    ``val`` is v_p(y*xi - x) read off the run: the run's last level on the
-    ladder of y*xi, or w plus it on the inverted ladder.  ``val`` equals
-    the precision when the form vanishes to full precision, which censors
-    it unless p divides y.
-    """
-    p, n, value, modulus = xi.p, xi.precision, xi.value, xi.modulus
-    if norm == NORM_SUP:
-        for y in range(1, bound + 1):
-            for x, last in _ladder_runs(y * value % modulus, p, n, bound):
-                yield x, y, last
-        return
-    root = math.isqrt(bound)
-    for y in range(1, root + 1):
-        for x, last in _ladder_runs(y * value % modulus, p, n, bound // y):
-            yield x, y, last
-    if value == 0:
-        return
-    w = pval(value, p)
-    scale = p**w
-    unit_modulus = modulus // scale
-    inverse = pow(value // scale, -1, unit_modulus)
-    for u in range(1, root // scale + 1):
-        x = scale * u
-        t = u * inverse % unit_modulus
-        for y, last in _ladder_runs(t, p, n - w, bound // x):
-            if y > 0:
-                yield x, y, w + last
-            else:
-                yield -x, -y, w + last
-
-
 def _signed_residues(t: int, modulus: int) -> tuple[int, ...]:
     """Minimal-magnitude nonzero representatives of ``t`` in [0, modulus).
 
@@ -361,6 +275,18 @@ def _signed_residues(t: int, modulus: int) -> tuple[int, ...]:
     if twice > modulus:
         return (t - modulus,)
     return t, t - modulus
+
+
+def _unit_part(xi: PAdicNumber) -> tuple[int, int]:
+    """(w, 1/eta mod p^(precision - w)) for xi = p^w * eta, eta a unit.
+
+    (precision, 0) when xi vanishes to the precision.
+    """
+    p, n, value = xi.p, xi.precision, xi.value
+    if value == 0:
+        return n, 0
+    w = pval(value, p)
+    return w, pow(value // p**w, -1, p ** (n - w))
 
 
 def _oracle_level(
@@ -467,10 +393,9 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     _require_norm(norm)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    p, n, value = xi.p, xi.precision, xi.value
+    p, n = xi.p, xi.precision
     mult = norm == NORM_MULT
-    w = n if value == 0 else pval(value, p)
-    unit = (w, 0 if w == n else pow(value // p**w, -1, p ** (n - w)))
+    unit = _unit_part(xi)
     entries: list[ApproxPair] = []
     anchor = (1, 0)
     ceiling: int | None = None
@@ -603,40 +528,70 @@ def uniform_minimum(
 def uniform_minimum_enum(
     xi: PAdicNumber, norm: str, bound: int
 ) -> UniformWitness:
-    """Independent enumeration of the same box minimum (no chain involved).
+    """Independent search for the same box minimum (no chain involved).
 
-    All ladder pairs are admitted (coprimality plays no role in the box
-    minimum), and each valuation is read off its run.  When p^e divides y
-    the form is known modulo p^(precision + e), so a run reaching the
-    precision may still carry an exact valuation: only those pairs pay for
-    :func:`linear_form_valuation`.  A censored valuation inside the box
-    raises, since the minimum is then unknown.
+    :func:`_oracle_level` scans only pairs with p not dividing y; three
+    facts reduce the whole box to those.
+
+    1. Censored boxes.  The box holds a censored pair exactly when
+       :func:`_oracle_level` at level ``precision`` finds a pair in it, so
+       exactly when the level search below ends on a hit of valuation
+       ``precision``: a censored pair with p^e | y is p^e times a censored
+       pair with p not dividing y, which sits in the same box.  Such a box
+       raises, since its minimum is unknown.
+    2. Every winner is a p-power scaling.  A box pair of valuation at
+       least 1 with p | y also has p | x, so it is p times a pair of
+       valuation one less; common factors prime to p only raise the metric.
+       So for each m >= 0 with p^m <= bound (sup) or p^(2m) <= bound
+       (product) the search runs over the box bound // p^m (or
+       bound // p^(2m)), starting at level 1 and stepping to val + 1 until
+       the level comes back empty.  The last hit, scaled by p^m, competes
+       under the key (deeper valuation, smaller metric, smaller |x|,
+       positive x, smaller y).
+    3. A scaled valuation-0 base never wins.  Its metric is at least p^m
+       (or p^(2m)), so at m - 1 the box bound // p^(m - 1) >= p (or p^2)
+       holds a level-1 pair of metric at most p, through y = 1.  Scaled by
+       p^(m - 1), that pair reaches at least as deep with a smaller or
+       equal metric, and a smaller y on a tie.
+
+    Only the winner is built with :func:`make_pair`, and its exact
+    valuation must agree with the search.
     """
     _require_norm(norm)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     p, n = xi.p, xi.precision
     mult = norm == NORM_MULT
-    best_key = None
-    for x, y, val in _ladder_candidates(xi, norm, bound):
-        if val == n:
-            exact = linear_form_valuation(xi, x, y)
-            if not exact.is_exact:
-                raise ValueError(
-                    "bound too large for this precision: censored valuation met"
-                )
-            val = exact.value
-        size = abs(x)
-        key = (-val, size * y if mult else max(size, y), size, x < 0, y)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_xy = (x, y)
-    if best_key is None:
+    unit = _unit_part(xi)
+    step = p * p if mult else p
+    keys = []
+    m, box = 0, bound
+    while box:
+        level, hit = 1, None
+        while level <= n:
+            found = _oracle_level(xi, mult, level, box, unit)
+            if found is None:
+                break
+            hit = found
+            level = 1 - found[1][0]
+        if hit is None:  # nor does any smaller box hold a level-1 pair
+            break
+        metric, (neg_val, size, negative, y) = hit
+        if neg_val == -n:
+            raise ValueError(
+                "bound too large for this precision: censored valuation met"
+            )
+        scale = p**m
+        keys.append((neg_val - m, metric * step**m, size * scale, negative, y * scale))
+        m += 1
+        box //= step
+    if not keys:
         raise ValueError("no nonzero pair found inside the box")
-    val = -best_key[0]
-    witness_pair = make_pair(xi, *best_xy)
+    neg_val, _, size, negative, y = min(keys)
+    val = -neg_val
+    witness_pair = make_pair(xi, -size if negative else size, y)
     if witness_pair.val != Valuation.exact(val):
-        raise AssertionError("ladder run disagrees with the exact valuation")
+        raise AssertionError("level search disagrees with the exact valuation")
     return UniformWitness(
         norm=norm,
         bound=bound,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ApproxPair, ilog, pval
-from .exponents import ExponentReport, burn_in_index, estimate_multiplicative
-from .lattice import NORM_MULT, NORM_SUP, BestApproxChain
+from .exponents import ExponentReport
+from .lattice import NORM_SUP, BestApproxChain
 
 GOLDEN_UNIFORM_BOUND = (5.0 + math.sqrt(5.0)) / 2.0
 
@@ -284,49 +284,6 @@ def check_korollar(chain: BestApproxChain) -> CheckResult:
         worst,
         {"pairs": len(chain.entries) - 1, "tightest_k": worst_k},
     )
-
-
-def diagnose_neu(
-    chain: BestApproxChain, burn_in: float = 0.2, tol: float = 0.05
-) -> dict:
-    """Side pattern of a multiplicative chain versus its uniform estimate.
-
-    Entries are classified as x-side (|x| >= |y|) or y-side.  When the same
-    side recurs on successive tail entries the uniform exponent should not
-    exceed 3; a strictly alternating pattern is the only way past that
-    bound, so ``anomaly`` flags recurrent same-side chains whose estimate
-    still exceeds 3 + tol.
-    """
-    if chain.norm != NORM_MULT:
-        raise ValueError("side diagnostics apply to multiplicative chains")
-    entries = chain.entries
-    tail = entries[burn_in_index(len(entries), burn_in):]
-    sides = "".join("x" if abs(pr.x) >= pr.y else "y" for pr in tail)
-    same = sum(1 for a, b in zip(sides, sides[1:]) if a == b)
-    total = max(len(sides) - 1, 0)
-    recurrent = same >= max(2, total // 10) if total else False
-    try:
-        _, hat_x = estimate_multiplicative(chain, burn_in)
-    except ValueError:
-        hat_x = None
-    anomaly = recurrent and hat_x is not None and hat_x > 3.0 + tol
-    if not sides:
-        note = "chain tail is empty"
-    elif anomaly:
-        note = "recurrent same-side pattern with uniform estimate above 3"
-    elif recurrent:
-        note = "recurrent same-side pattern; uniform estimate within bound"
-    else:
-        note = "alternating side pattern; the bound 3 need not apply"
-    return {
-        "sides": sides,
-        "adjacent_same_side": same,
-        "adjacent_total": total,
-        "recurrent_same_side": recurrent,
-        "hat_mu_times": hat_x,
-        "anomaly": anomaly,
-        "note": note,
-    }
 
 
 def check_surgery_pointwise(witness, tol: float = 0.1) -> list[CheckResult]:

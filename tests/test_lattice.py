@@ -443,19 +443,73 @@ def witness_or_error(function, *args):
     return witness.valuation, witness.pair, witness.exponent
 
 
-@given(
-    p=st.sampled_from(PRIMES),
-    seed=st.integers(min_value=0, max_value=10**6),
-    norm=st.sampled_from(NORMS),
-    fraction=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_uniform_minimum_enum_matches_reference(p, seed, norm, fraction):
+def short_box(p, seed, norm, fraction):
     xi = short_number(p, seed, 1024)
-    bound = max(2, box_bound(xi, fraction))
-    assert witness_or_error(uniform_minimum_enum, xi, norm, bound) == (
-        witness_or_error(reference.uniform_minimum_enum, xi, norm, bound)
+    return xi, norm, max(2, box_bound(xi, fraction))
+
+
+# Box caps for 30-digit numbers, log-uniform below them.  Most short boxes
+# hold the censored pair, so both sides refuse; most of these boxes have a
+# witness, and about one witness in seven is a scaled pair (p | y).
+UNIFORM_BOX_CAPS = {NORM_SUP: 2000, NORM_MULT: 10**5}
+
+
+def thirty_digit_box(p, seed, norm, fraction):
+    bound = max(2, round(UNIFORM_BOX_CAPS[norm] ** fraction))
+    return thirty_digit_number(p, seed), norm, bound
+
+
+@given(
+    box=st.one_of(
+        *(
+            st.builds(
+                make_box,
+                p=st.sampled_from(PRIMES),
+                seed=st.integers(min_value=0, max_value=10**6),
+                norm=st.sampled_from(NORMS),
+                fraction=st.floats(min_value=0.0, max_value=1.0),
+            )
+            for make_box in (short_box, thirty_digit_box)
+        )
     )
+)
+@settings(max_examples=300, deadline=None)
+def test_uniform_minimum_enum_matches_reference(box):
+    assert witness_or_error(uniform_minimum_enum, *box) == (
+        witness_or_error(reference.uniform_minimum_enum, *box)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, digits, norm, bound, expected",
+    [
+        # xi = 0: the last box below the censored (p^n, 1), then the box
+        # that holds it.
+        (2, [0] * 10, NORM_SUP, 1000, (512, 1, 9)),
+        (2, [0] * 10, NORM_SUP, 1100, "censored"),
+        (3, [0] * 6, NORM_MULT, 700, (243, 1, 5)),
+        (3, [0] * 6, NORM_MULT, 2000, "censored"),
+        # v_5(xi) = 1 and the box lies below p: no pair reaches valuation 1.
+        (5, [0, 1, 2, 3], NORM_SUP, 4, "no nonzero pair"),
+        (5, [0, 1, 2, 3], NORM_SUP, 5, (5, 1, 2)),
+        # Twice the base (4, 1) of the box 4, with the exact valuation 6
+        # equal to the precision.
+        (2, [0, 0, 1, 0, 0, 1], NORM_MULT, 16, (8, 2, 6)),
+    ],
+)
+def test_uniform_minimum_enum_edge_cases_match_reference(
+    p, digits, norm, bound, expected
+):
+    xi = from_digits(p, digits)
+    result = witness_or_error(uniform_minimum_enum, xi, norm, bound)
+    assert result == witness_or_error(reference.uniform_minimum_enum, xi, norm, bound)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            uniform_minimum_enum(xi, norm, bound)
+    else:
+        valuation, pair, _ = result
+        assert (pair.x, pair.y, valuation) == expected
+        assert pair.val.is_exact
 
 
 @given(

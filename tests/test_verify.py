@@ -27,7 +27,6 @@ from padiclab import (
     check_padicle,
     check_surgery_pointwise,
     checks_to_dict,
-    diagnose_neu,
 )
 from conftest import seeded_xi
 
@@ -309,55 +308,6 @@ def test_korollar_rejects_wrong_inputs():
         check_korollar(censored)
     short = synthetic_chain(NORM_SUP, [pair(1, 1, 2)])
     assert check_korollar(short).passed is None
-
-
-# ---------------------------------------------------------------------------
-# side diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_diagnose_recurrent_within_bound(lacunary_chain_mult):
-    info = diagnose_neu(lacunary_chain_mult)
-    assert info["recurrent_same_side"] is True
-    assert info["anomaly"] is False
-    assert info["hat_mu_times"] is not None
-
-
-def test_diagnose_flags_anomaly():
-    # Same-side entries throughout, yet the uniform estimate sits far above 3.
-    rows = [pair(2**k, 1, 5 * k) for k in range(1, 11)]
-    chain_ = synthetic_chain(NORM_MULT, rows)
-    info = diagnose_neu(chain_)
-    assert set(info["sides"]) == {"x"}
-    assert info["recurrent_same_side"] is True
-    assert info["hat_mu_times"] > 3.05
-    assert info["anomaly"] is True
-
-
-def test_diagnose_alternating_sides_are_exempt():
-    rows = []
-    for k in range(1, 11):
-        rows.append(
-            pair(2**k, 1, 5 * k) if k % 2 else pair(1, 2**k, 5 * k)
-        )
-    chain_ = synthetic_chain(NORM_MULT, rows)
-    info = diagnose_neu(chain_)
-    assert info["recurrent_same_side"] is False
-    assert info["anomaly"] is False
-
-
-def test_diagnose_requires_mult_chain_and_handles_short_tail():
-    sup = synthetic_chain(NORM_SUP, [pair(1, 1, 1), pair(3, 1, 2)])
-    with pytest.raises(ValueError):
-        diagnose_neu(sup)
-    short = synthetic_chain(NORM_MULT, [pair(1, 1, 1), pair(3, 1, 2)])
-    info = diagnose_neu(short)
-    assert info["sides"] == ""
-    assert info["anomaly"] is False
-    assert info["hat_mu_times"] is None
-    for burn_in in (-0.1, 1.0):
-        with pytest.raises(ValueError, match="burn_in"):
-            diagnose_neu(short, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------
