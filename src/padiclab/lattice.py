@@ -179,14 +179,14 @@ def chain(
     """Best-approximation chain of ``xi`` up to congruence level ``max_level``.
 
     The sup norm carries a reduced basis from level to level
-    (:class:`SupWalk`); the product norm runs the continued-fraction walk
-    of :func:`best_mult_pair` at each visited level.  With ``jump=True``
-    the level counter advances past each certified valuation (and past
-    provably rejected stretches in the multiplicative case, never beyond
-    ``max_level``); ``jump=False`` visits every level and must produce the
-    same chain, which the tests exploit.  The chain stops at the first
-    censored pair; a record of the same height as that pair is dropped,
-    since the censored pair reaches at least as deep.
+    (:class:`SupWalk`); the product norm runs the continued-fraction walk of
+    :func:`best_mult_pair` at each visited level, scoring only large-quotient
+    front pairs.  With ``jump=True`` the level counter advances past each
+    certified valuation (and past provably rejected stretches in the
+    multiplicative case, never beyond ``max_level``); ``jump=False`` visits
+    every level and must produce the same chain, which the tests exploit.  The
+    chain stops at the first censored pair; a record of the same height as that
+    pair is dropped, since the censored pair reaches at least as deep.
     """
     _require_norm(norm)
     if max_level is None:

@@ -7,8 +7,8 @@ exact kernels compute it:
 * :class:`SupWalk` carries a Lagrange-Gauss-reduced basis from level to
   level and searches it (sup norm);
 * :func:`best_mult_pair` runs a continued-fraction walk on the level's
-  residue (product norm), since the minimum product needs every partial
-  quotient.
+  residue (product norm): it reads every partial quotient, and scores
+  only the front pairs whose quotient is near the largest admissible one.
 """
 
 from __future__ import annotations
@@ -214,35 +214,34 @@ def best_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
     |x(j) * y(j)| is strictly concave in j, so it exceeds the smaller of
     their products.  (The last front pair, (b_x, y) with b_x the p-part of
     r, has y*r/b_x = 1 modulo a power of p, so it always qualifies next to
-    the closing pair with x = 0.)  A product is only formed when the exact
-    bound |x|*|y| >= 2^(bl(x) + bl(y) - 2) does not already exceed the best
-    one.  Ties are broken by smaller |x|, then positive x, then smaller
-    |y|; the returned pair is normalised to y > 0.
+    the closing pair with x = 0.)
+
+    Lemma: a front pair b with predecessor a, next quotient
+    q = floor(a_x / b_x) and P = b_x * |b_y| has q*P <= D < (q + 2)*P for
+    D = modulus.  Proof: front denominators alternate in sign, so
+    D = a_x * |b_y| + b_x * |a_y|; a_x = q*b_x + c_x with 0 <= c_x < b_x and
+    |a_y| <= |b_y| put D - q*P = c_x * |b_y| + b_x * |a_y| in [0, 2P).  So
+    the admissible pair (p not dividing b_y) of largest quotient Q has
+    P <= D/Q, and one with q <= Q - 2 has P > D/(q + 2) >= D/Q: it cannot
+    even tie.  Only pairs whose quotient is at least the largest admissible
+    one so far minus 1 are scored.  Ties are broken by smaller |x|, then
+    positive x, then smaller |y|; the returned pair is normalised to y > 0.
     """
     if r == 0:
         return modulus, 1
 
     best_key: tuple[int, int, int, int] | None = None
-    best_xy = (0, 0)
-    best_bits = 0
-    ax, ay = modulus, 0
-    bx, by = r, 1
+    q_floor = -1  # largest admissible quotient so far, minus 1
+    ax, ay, bx, by = modulus, 0, r, 1
     while bx:
-        y = abs(by)
-        if by % p and (
-            best_key is None or bx.bit_length() + y.bit_length() - 2 < best_bits
-        ):
-            x = bx if by > 0 else -bx
-            key = (bx * y, bx, 0 if x > 0 else 1, y)
-            if best_key is None or key < best_key:
-                best_key, best_xy, best_bits = key, (x, y), key[0].bit_length()
-        # Every later front pair has |y| > |by|, hence product > |by|;
-        # strict inequality keeps tie candidates alive.
-        if best_key is not None and y > best_key[0]:
-            break
         q, cx = divmod(ax, bx)
+        if q >= q_floor and by % p:
+            q_floor = max(q_floor, q - 1)
+            key = (bx * abs(by), bx, 0 if by > 0 else 1, abs(by))
+            best_key = key if best_key is None else min(best_key, key)
         ax, ay, bx, by = bx, by, cx, ay - q * by
 
     if best_key is None:  # unreachable: the last front pair qualifies
         raise AssertionError("front walk produced no candidate")
-    return best_xy
+    _, x, negative, y = best_key
+    return -x if negative else x, y

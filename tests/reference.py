@@ -2,13 +2,14 @@
 
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
-minimisers, digit extraction by one divmod per digit, the chunked valuation
-loop and the list scan for the product chain's required valuation, and the
-enumeration oracle and box minimum that build one ``ApproxPair`` per ladder
-candidate before sorting them.  The independence check is a plain
-all-pairs scan.  The Schneider block search is seeded by a float logarithm,
-and digit surgery edits the digit vector.  Tests require the package to
-agree with them exactly.
+minimisers, the product walk that scores every admissible front pair
+behind a bit-length prefilter, digit extraction by one divmod per digit,
+the chunked valuation loop and the list scan for the product chain's
+required valuation, and the enumeration oracle and box minimum that build
+one ``ApproxPair`` per ladder candidate before sorting them.  The
+independence check is a plain all-pairs scan.  The Schneider block search
+is seeded by a float logarithm, and digit surgery edits the digit vector.
+Tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -79,6 +80,54 @@ def best_pair(p: int, modulus: int, r: int, norm: str) -> tuple[int, int]:
         ax, ay, bx, by = bx, by, ax - q * bx, ay - q * by
 
     if best_xy is None:
+        raise AssertionError("front walk produced no candidate")
+    return best_xy
+
+
+def front_walk_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
+    """Product-minimal pair (x, y) with p not dividing y and x = y*r (mod modulus).
+
+    Continued-fraction walk on ``(modulus, 0), (r, 1)``.  Every front pair
+    has determinant +-modulus, so its gcd is a power of p and p not
+    dividing y already forces coprimality.  Only front pairs are scored.
+    Between successive front pairs a and c = a - q*b, a pair a - j*b with
+    0 < j < q has x >= b_x and |y| >= |b_y|, so it cannot beat b when b
+    qualifies (its one tie, (modulus - r, -1) when modulus = 2r, loses on
+    the sign).  When p divides b_y, a and c qualify, as successive front
+    denominators are coprime and c_y = a_y (mod p), and the product
+    |x(j) * y(j)| is strictly concave in j, so it exceeds the smaller of
+    their products.  (The last front pair, (b_x, y) with b_x the p-part of
+    r, has y*r/b_x = 1 modulo a power of p, so it always qualifies next to
+    the closing pair with x = 0.)  A product is only formed when the exact
+    bound |x|*|y| >= 2^(bl(x) + bl(y) - 2) does not already exceed the best
+    one.  Ties are broken by smaller |x|, then positive x, then smaller
+    |y|; the returned pair is normalised to y > 0.
+    """
+    if r == 0:
+        return modulus, 1
+
+    best_key: tuple[int, int, int, int] | None = None
+    best_xy = (0, 0)
+    best_bits = 0
+    ax, ay = modulus, 0
+    bx, by = r, 1
+    while bx:
+        y = abs(by)
+        if by % p and (
+            best_key is None or bx.bit_length() + y.bit_length() - 2 < best_bits
+        ):
+            x = bx if by > 0 else -bx
+            key = (bx * y, bx, 0 if x > 0 else 1, y)
+            if best_key is None or key < best_key:
+                best_key, best_xy, best_bits = key, (x, y), key[0].bit_length()
+        # Every later front pair has |y| > |by|, hence product > |by|;
+        # strict inequality keeps tie candidates alive.
+        if best_key is not None and y > best_key[0]:
+            break
+        q, cx = divmod(ax, bx)
+        ax, ay, bx, by = bx, by, cx, ay - q * by
+
+    if best_key is None:  # unreachable: the last front pair qualifies
         raise AssertionError("front walk produced no candidate")
     return best_xy
 

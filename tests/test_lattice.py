@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -17,6 +17,7 @@ from padiclab import (
     NORM_SUP,
     BestApproxChain,
     LacunarySpec,
+    build_digit_rule,
     build_lacunary,
     lacunary_pow_exponents,
     best_mult_at_level,
@@ -35,8 +36,9 @@ from padiclab import (
     uniform_minimum,
     uniform_minimum_enum,
 )
+from padiclab import lattice
 from padiclab.lattice import _mult_required_valuation, _next_anchor
-from padiclab.walk import SupWalk
+from padiclab.walk import SupWalk, best_mult_pair
 from conftest import seeded_xi
 
 PRIMES = (2, 3, 5, 7)
@@ -135,6 +137,83 @@ def test_level_minimisers_match_reference_walk(xi):
         assert walk.best_pair() == sup
         assert best_sup_at_level(xi, level) == sup
         assert best_mult_at_level(xi, level) == mult
+
+
+@st.composite
+def mult_kernel_inputs(draw):
+    """(p, p^v, r) with r = p^w * u mod p^v and p not dividing u: often a
+    unit (w = 0), zero (w = v) or, for p = 2 and w = v - 1, the tie
+    modulus = 2r."""
+    p = draw(st.sampled_from(PRIMES))
+    v = draw(st.integers(min_value=1, max_value=700))
+    w = draw(
+        st.sampled_from((0, v - 1, v)) | st.integers(min_value=0, max_value=v - 1)
+    )
+    u = draw(st.integers(min_value=1, max_value=p**v - 1))
+    u += u % p == 0
+    modulus = p**v
+    return p, modulus, p**w * u % modulus
+
+
+@given(triple=mult_kernel_inputs())
+@example(triple=(2, 2**10, 2**9))
+@example(triple=(2, 2**700, 2**699))
+@example(triple=(3, 3**700, 0))
+# Minimisers whose quotient is one below that of an earlier admissible pair
+# (rare in random draws).
+@example(triple=(2, 2**9, 231))
+@example(triple=(3, 3**6, 140))
+@example(triple=(5, 5**5, 989))
+@example(triple=(7, 7**4, 198))
+@settings(max_examples=300, deadline=None)
+def test_mult_kernel_matches_front_walk_reference(triple):
+    """Scoring only the large-quotient front pairs changes no minimiser."""
+    assert best_mult_pair(*triple) == reference.front_walk_mult_pair(*triple)
+
+
+def front_pairs(modulus, r):
+    """(b_x, b_y, q) for each front pair of the walk on (modulus, 0), (r, 1)
+    with b_x != 0, q being its next partial quotient."""
+    ax, ay, bx, by = modulus, 0, r, 1
+    while bx:
+        q = ax // bx
+        yield bx, by, q
+        ax, ay, bx, by = bx, by, ax - q * bx, ay - q * by
+
+
+@given(triple=mult_kernel_inputs())
+@example(triple=(2, 2**10, 2**9))
+@settings(max_examples=200, deadline=None)
+def test_front_pair_quotient_bound(triple):
+    """q*P <= D < (q + 2)*P for every front pair, and the reference's
+    minimiser has a quotient within 1 of the largest admissible one."""
+    p, modulus, r = triple
+    quotients = {}
+    for bx, by, q in front_pairs(modulus, r):
+        product = bx * abs(by)
+        assert q * product <= modulus < (q + 2) * product
+        if by % p:
+            quotients[bx] = q
+    x, _ = reference.front_walk_mult_pair(p, modulus, r)
+    if quotients:
+        assert quotients[abs(x)] >= max(quotients.values()) - 1
+
+
+def test_dense_mult_chains_match_front_walk_reference(monkeypatch):
+    """Whole product chains at benchmark sizes, against the same chains
+    computed with the reference kernel."""
+    numbers = (
+        build_digit_rule(2, "random", 1024, seed=1),
+        build_digit_rule(3, "random", 512, seed=1),
+        build_digit_rule(2, "thue-morse", 2048),
+    )
+    fast = [chain(xi, NORM_MULT) for xi in numbers]
+    monkeypatch.setattr(lattice, "best_mult_pair", reference.front_walk_mult_pair)
+    for xi, result in zip(numbers, fast):
+        slow = chain(xi, NORM_MULT)
+        assert result.entries == slow.entries
+        assert result.precision_ceiling == slow.precision_ceiling
+        assert result.ceiling_metric == slow.ceiling_metric
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +523,14 @@ def witness_or_error(function, *args):
 
 
 def short_box(p, seed, norm, fraction):
+    """A box log-uniform up to twice p^precision: unlike a linear draw, it
+    often lies below the censored pair's metric and has a witness."""
     xi = short_number(p, seed, 1024)
-    return xi, norm, max(2, box_bound(xi, fraction))
+    return xi, norm, max(2, round((2 * xi.p**xi.precision) ** fraction))
 
 
-# Box caps for 30-digit numbers, log-uniform below them.  Most short boxes
-# hold the censored pair, so both sides refuse; most of these boxes have a
-# witness, and about one witness in seven is a scaled pair (p | y).
+# Box caps for 30-digit numbers, log-uniform below them: most of these boxes
+# have a witness, and about one witness in seven is a scaled pair (p | y).
 UNIFORM_BOX_CAPS = {NORM_SUP: 2000, NORM_MULT: 10**5}
 
 
