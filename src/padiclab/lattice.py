@@ -8,15 +8,14 @@ Two chain flavours are supported:
 Per-level minimisers on the congruence lattices ``{(x, y) : x = y * xi
 (mod p^v)}`` come from :mod:`padiclab.walk`: a reduced basis carried from
 level to level for the sup norm (de Weger 1986; Kaib & Schnorr 1996), a
-continued-fraction walk per visited level for the product norm.  Chains
-assemble the minimisers into the staircase of record pairs
-(strictly increasing heights and valuations).
+continued-fraction walk per visited level for the product norm.
 
-The enumeration oracle rebuilds the same chains from scratch so the fast
-path can be cross-validated: level by level it scans the box for the
-smallest metric of a pair with at least that valuation (only up to the
-smallest metric found so far), keeps the best pair of that metric, and
-resumes at the next level the staircase allows.  ``uniform_minimum``
+The enumeration oracle cross-validates those minimisers with a search of
+its own: level by level it scans the box for the smallest metric of a pair
+with at least that valuation (only up to the smallest metric found so far)
+and keeps the best pair of that metric.  Both chains assemble their
+minimisers through one routine, ``_records``, into the staircase of record
+pairs (strictly increasing heights and valuations).  ``uniform_minimum``
 evaluates the uniform (min-over-a-box) side of the problem from a chain,
 ``uniform_minimum_enum`` by the same level search: run to the deepest
 level on the box and on each box shrunk by a power of p, whose pairs it
@@ -27,7 +26,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     ApproxPair,
@@ -169,92 +170,87 @@ def _next_anchor(
     return anchor
 
 
-def chain(
-    xi: PAdicNumber,
-    norm: str,
-    max_level: int | None = None,
-    *,
-    jump: bool = True,
+def _records(
+    p: int, norm: str, max_level: int, minimiser: Callable[[int], ApproxPair | None]
 ) -> BestApproxChain:
+    """The staircase of record pairs read off per-level minimisers.
+
+    ``minimiser(level)`` returns the key-minimal pair of valuation at least
+    ``level``, or None when the box holds none (which ends the chain).  A
+    pair of valuation ``val`` is a record, replacing its predecessor when
+    it has the same metric, and the search resumes at level val + 1.  A
+    product pair that misses the required valuation against the anchor
+    (:func:`_mult_required_valuation`) sends the search to that valuation,
+    capped at ``max_level``, since no pair of lower valuation can enter the
+    chain any more; ``max_level`` itself is still visited.  The chain
+    stops at the first censored pair, whose level and metric set
+    ``precision_ceiling`` and ``ceiling_metric``; a record of the same
+    metric is dropped, since the censored pair reaches at least as deep.
+    """
+    mult = norm == NORM_MULT
+    entries: list[ApproxPair] = []
+    last = 0  # metric of entries[-1]
+    anchor = (1, 0)
+    ceiling = ceiling_metric = None
+    level = 1
+    while level <= max_level:
+        pair = minimiser(level)
+        if pair is None:
+            break
+        metric = pair.height_mult_sq if mult else pair.height_sup
+        val = pair.val.value
+        if not pair.val.is_exact:
+            ceiling, ceiling_metric = val, metric
+            if last == metric:
+                entries.pop()
+            break
+        if val < level:
+            raise AssertionError("level minimizer certifies less than its level")
+        if mult and entries:
+            required = _mult_required_valuation(p, anchor, metric)
+            if val < required:
+                # Levels up to ``val`` keep returning this pair and any pair
+                # with a larger product needs at least ``required``.
+                if level == max_level:
+                    break
+                level = min(required, max_level)
+                continue
+        if metric < last:
+            raise AssertionError("per-level minimum decreased")
+        if metric == last:
+            # Same metric but deeper valuation: the previous pair was not a
+            # record after all.
+            entries[-1] = pair
+        else:
+            entries.append(pair)
+            last = metric
+        if mult:
+            anchor = _next_anchor(p, anchor, metric, val)
+        level = val + 1
+    return BestApproxChain(p, norm, max_level, tuple(entries), ceiling, ceiling_metric)
+
+
+def chain(xi: PAdicNumber, norm: str, max_level: int | None = None) -> BestApproxChain:
     """Best-approximation chain of ``xi`` up to congruence level ``max_level``.
 
     The sup norm carries a reduced basis from level to level
     (:class:`SupWalk`); the product norm runs the continued-fraction walk of
     :func:`best_mult_pair` at each visited level, scoring only large-quotient
-    front pairs.  With ``jump=True`` the level counter advances past each
-    certified valuation (and past provably rejected stretches in the
-    multiplicative case, never beyond ``max_level``); ``jump=False`` visits
-    every level and must produce the same chain, which the tests exploit.  The
-    chain stops at the first censored pair; a record of the same height as that
-    pair is dropped, since the censored pair reaches at least as deep.
+    front pairs.  :func:`_records` assembles the staircase.
     """
     _require_norm(norm)
     if max_level is None:
         max_level = xi.precision
-    if not 1 <= max_level <= xi.precision:
-        raise ValueError(
-            f"max_level must be in [1, {xi.precision}], got {max_level}"
-        )
-    p = xi.p
-    mult = norm == NORM_MULT
-    walk = None if mult else SupWalk(xi)
-    entries: list[ApproxPair] = []
-    anchor = (1, 0)
-    ceiling: int | None = None
-    ceiling_metric: int | None = None
-    level = 1
-    while level <= max_level:
-        if walk is None:
-            pair = best_mult_at_level(xi, level)
-        else:
-            walk.advance(level)
-            pair = walk.best_pair()
-        metric = _pair_metric(pair, norm)
-        if not pair.val.is_exact:
-            ceiling, ceiling_metric = pair.val.value, metric
-            if entries and _pair_metric(entries[-1], norm) == metric:
-                entries.pop()
-            break
-        val = pair.val.value
-        if val < level:
-            raise AssertionError("level minimizer certifies less than its level")
+    _check_level(xi, max_level)
+    if norm == NORM_MULT:
+        return _records(xi.p, norm, max_level, partial(best_mult_at_level, xi))
+    walk = SupWalk(xi)
 
-        if mult and entries:
-            required = _mult_required_valuation(p, anchor, metric)
-            if val < required:
-                # Levels up to ``val`` keep returning this pair and any pair
-                # with a larger product needs at least ``required``; skip the
-                # whole stretch, but visit ``max_level`` itself (or crawl when
-                # jump is disabled).
-                if not jump:
-                    level += 1
-                elif level < max_level:
-                    level = min(required, max_level)
-                else:
-                    break
-                continue
+    def minimiser(level: int) -> ApproxPair:
+        walk.advance(level)
+        return walk.best_pair()
 
-        if entries and metric < _pair_metric(entries[-1], norm):
-            raise AssertionError("per-level minimum decreased")
-        if not entries or val > entries[-1].val.value:
-            if entries and _pair_metric(entries[-1], norm) == metric:
-                # Same height but deeper valuation: the previous pair was
-                # not a record after all.
-                entries[-1] = pair
-            else:
-                entries.append(pair)
-            if mult:
-                anchor = _next_anchor(p, anchor, metric, val)
-        level = val + 1 if jump else level + 1
-
-    return BestApproxChain(
-        p=p,
-        norm=norm,
-        max_level=max_level,
-        entries=tuple(entries),
-        precision_ceiling=ceiling,
-        ceiling_metric=ceiling_metric,
-    )
+    return _records(xi.p, norm, max_level, minimiser)
 
 
 # ---------------------------------------------------------------------------
@@ -377,61 +373,35 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     :func:`_oracle_level` scans the box for the smallest metric M_l of a
     pair with valuation at least l and, among the pairs of metric M_l, the
     best under the key (deeper valuation, smaller |x|, positive x, smaller
-    y).  No walk machinery is shared with :func:`chain`.
+    y); the level comes back empty when M_l exceeds ``bound``.  Each found
+    pair is built with :func:`make_pair`, and its exact valuation must agree
+    with the scan.  Memory stays constant in the box.
 
-    Entries follow the staircase rules of a sweep over the sorted metrics:
-    a pair of valuation ``val`` is a record and the search resumes at level
-    val + 1; a product pair that misses the required valuation against the
-    anchor (:func:`_mult_required_valuation`) sends the search to that
-    valuation, capped at the precision, since no pair of lower valuation can
-    enter the chain any more.  The search stops when M_l exceeds ``bound``
-    or at the first censored pair, whose level and metric set
-    ``precision_ceiling`` and ``ceiling_metric``.  Only the entries and that
-    censored pair are built with :func:`make_pair`, and their exact
-    valuations must agree with the scan.  Memory stays constant in the box.
+    :func:`_records` assembles the staircase, as for :func:`chain`, so the
+    two agree unless the per-level searches differ.  The staircase rules are
+    checked against two that share no code with the package: the tests'
+    sweep over the sorted metrics of every ladder candidate, and their crawl
+    over every level.
     """
     _require_norm(norm)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    p, n = xi.p, xi.precision
+    n = xi.precision
     mult = norm == NORM_MULT
     unit = _unit_part(xi)
-    entries: list[ApproxPair] = []
-    anchor = (1, 0)
-    ceiling: int | None = None
-    ceiling_metric: int | None = None
-    level = 1
-    while level <= n:
+
+    def minimiser(level: int) -> ApproxPair | None:
         found = _oracle_level(xi, mult, level, bound, unit)
         if found is None:
-            break
-        metric, (neg_val, size, negative, y) = found
-        val = -neg_val
-        # p does not divide y, so a form vanishing to the precision is censored.
-        censored = val == n
-        if mult and entries and not censored:
-            required = _mult_required_valuation(p, anchor, metric)
-            if val < required:
-                level = min(required, n)
-                continue
+            return None
+        neg_val, size, negative, y = found[1]
         pair = make_pair(xi, -size if negative else size, y)
-        if pair.val != Valuation(val, not censored):
+        # p does not divide y, so a form vanishing to the precision is censored.
+        if pair.val != Valuation(-neg_val, neg_val != -n):
             raise AssertionError("level search disagrees with the exact valuation")
-        if censored:
-            ceiling, ceiling_metric = val, metric
-            break
-        if mult:
-            anchor = _next_anchor(p, anchor, metric, val)
-        entries.append(pair)
-        level = val + 1
-    return BestApproxChain(
-        p=p,
-        norm=norm,
-        max_level=n,
-        entries=tuple(entries),
-        precision_ceiling=ceiling,
-        ceiling_metric=ceiling_metric,
-    )
+        return pair
+
+    return _records(xi.p, norm, n, minimiser)
 
 
 # ---------------------------------------------------------------------------

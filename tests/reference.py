@@ -6,9 +6,12 @@ minimisers, the product walk that scores every admissible front pair
 behind a bit-length prefilter, digit extraction by one divmod per digit,
 the chunked valuation loop and the list scan for the product chain's
 required valuation, and the enumeration oracle and box minimum that build
-one ``ApproxPair`` per ladder candidate before sorting them.  The
-independence check is a plain all-pairs scan.  The Schneider block search
-is seeded by a float logarithm, and digit surgery edits the digit vector.
+one ``ApproxPair`` per ladder candidate before sorting them.  The chain
+crawl visits every level with the per-level minimisers, reducing the sup
+basis from scratch each time, and shares no staircase code with the
+package.  The independence check is a plain all-pairs scan.  The Schneider
+block search is seeded by a float logarithm, and digit surgery edits the
+digit vector.
 Tests require the package to agree with them exactly.
 """
 
@@ -26,6 +29,8 @@ from padiclab import (
     SurgeryResult,
     SurgerySpec,
     UniformWitness,
+    best_mult_at_level,
+    best_sup_at_level,
     from_digits,
     ilog,
     linear_form_valuation,
@@ -169,6 +174,51 @@ def mult_required_valuation(
                 required, prev_val + ilog(product // prev_product, p * p)
             )
     return required
+
+
+def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
+    """Chain from the minimisers of every level 1..max_level, in order.
+
+    A level whose minimiser is no deeper than the last entry adds nothing; a
+    product pair below :func:`mult_required_valuation` of the accepted pairs
+    is skipped; a deeper pair of the last entry's metric replaces it.  The
+    first censored pair ends the chain and drops a last entry of its metric.
+    """
+    mult = norm == "mult"
+    minimiser = best_mult_at_level if mult else best_sup_at_level
+
+    def metric(pair: ApproxPair) -> int:
+        return pair.height_mult_sq if mult else pair.height_sup
+
+    entries: list[ApproxPair] = []
+    accepted: list[tuple[int, int]] = []
+    ceiling = ceiling_metric = None
+    for level in range(1, max_level + 1):
+        pair = minimiser(xi, level)
+        val = pair.val.value
+        if not pair.val.is_exact:
+            ceiling, ceiling_metric = val, metric(pair)
+            if entries and metric(entries[-1]) == ceiling_metric:
+                entries.pop()
+            break
+        if entries and val <= entries[-1].val.value:
+            continue
+        if mult and entries:
+            if val < mult_required_valuation(xi.p, accepted, metric(pair)):
+                continue
+        if entries and metric(entries[-1]) == metric(pair):
+            entries.pop()
+            accepted.pop()
+        entries.append(pair)
+        accepted.append((metric(pair), val))
+    return BestApproxChain(
+        p=xi.p,
+        norm=norm,
+        max_level=max_level,
+        entries=tuple(entries),
+        precision_ceiling=ceiling,
+        ceiling_metric=ceiling_metric,
+    )
 
 
 def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:

@@ -268,11 +268,10 @@ def test_chain_matches_oracle_on_random_numbers():
 )
 @settings(max_examples=150, deadline=None)
 def test_chain_jump_invariance(xi, norm, cut):
+    """Jumping past certified levels gives the chain of a crawl over every
+    level."""
     max_level = max(1, round(cut * xi.precision))
-    fast = chain(xi, norm, max_level)
-    slow = chain(xi, norm, max_level, jump=False)
-    assert entry_triples(fast) == entry_triples(slow)
-    assert fast.precision_ceiling == slow.precision_ceiling
+    assert chain(xi, norm, max_level) == reference.crawl_chain(xi, norm, max_level)
 
 
 def test_mult_skip_still_visits_max_level():
@@ -281,7 +280,7 @@ def test_mult_skip_still_visits_max_level():
     xi = from_digits(2, [1, 1, 1, 1, 1, 1, 1, 0, 0])
     fast = chain(xi, NORM_MULT)
     assert fast.precision_ceiling == 9
-    assert fast.precision_ceiling == chain(xi, NORM_MULT, jump=False).precision_ceiling
+    assert fast == reference.crawl_chain(xi, NORM_MULT, 9)
 
 
 def test_censored_pair_displaces_same_height_record():
@@ -292,6 +291,14 @@ def test_censored_pair_displaces_same_height_record():
     assert entry_triples(result) == []
     assert result.precision_ceiling == 2
     assert entry_triples(oracle_chain(xi, NORM_SUP, 4)) == []
+    # xi = 2^12 * eta: the record (4096, 975) of valuation 24 meets the
+    # censored (-4096, 3121) of the same sup height, so (2048, 1) ends it.
+    xi = from_digits(2, [0] * 12 + [1, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0])
+    result = chain(xi, NORM_SUP)
+    assert result == oracle_chain(xi, NORM_SUP, 10**4)
+    assert result == reference.crawl_chain(xi, NORM_SUP, 30)
+    assert entry_triples(result)[-1][:2] == (2048, 1)
+    assert (result.precision_ceiling, result.ceiling_metric) == (30, 4096)
 
 
 @given(
@@ -317,10 +324,11 @@ def test_chain_matches_oracle_up_to_the_censored_pair(p, seed, norm):
     assert fast.precision_ceiling == slow.precision_ceiling
 
 
-def short_number(p, seed, max_modulus):
-    """A number with p^precision <= max_modulus, often divisible by p^w."""
+def short_number(p, seed, max_modulus, min_digits=1):
+    """A number with p^precision <= max_modulus and at least ``min_digits``
+    digits, often divisible by p^w."""
     rng = random.Random(seed)
-    precision = rng.randint(1, ilog(max_modulus, p))
+    precision = rng.randint(min_digits, ilog(max_modulus, p))
     head = rng.randint(0, precision - 1) if rng.random() < 0.5 else 0
     return from_digits(p, [0] * head + _random_digits(p, precision - head, seed))
 
@@ -524,8 +532,10 @@ def witness_or_error(function, *args):
 
 def short_box(p, seed, norm, fraction):
     """A box log-uniform up to twice p^precision: unlike a linear draw, it
-    often lies below the censored pair's metric and has a witness."""
-    xi = short_number(p, seed, 1024)
+    often lies below the censored pair's metric and has a witness.  Numbers
+    of one or two digits, whose boxes mostly refuse, are left to the oracle
+    test and the edge cases."""
+    xi = short_number(p, seed, 1024, min_digits=3)
     return xi, norm, max(2, round((2 * xi.p**xi.precision) ** fraction))
 
 
