@@ -76,8 +76,6 @@ def _parse_mu_seq(text: str) -> list[Fraction]:
         values = [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed exponent sequence {text!r}") from exc
-    if not values:
-        raise ValueError("empty exponent sequence")
     return values
 
 
@@ -86,8 +84,6 @@ def _parse_grid(text: str) -> list[float]:
         grid = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"malformed grid {text!r}") from exc
-    if not grid:
-        raise ValueError("empty grid")
     return grid
 
 

@@ -26,7 +26,6 @@ from .lattice import (
     BestApproxChain,
     uniform_minimum,
     uniform_minimum_enum,
-    _pair_metric,
 )
 from .core import PAdicNumber
 
@@ -273,9 +272,9 @@ def cross_check_uniform(
     identical minimising pairs and exponents within 1e-9.
     """
     records: list[dict] = []
-    n = len(chain_.entries)
-    for k in _sample_indices(n - 2, samples):
-        bound = _pair_metric(chain_.entries[k + 1], chain_.norm) - 1
+    metrics = chain_.metrics()
+    for k in _sample_indices(len(metrics) - 2, samples):
+        bound = metrics[k + 1] - 1
         if bound < 2:
             continue
         fast = uniform_minimum(xi, chain_.norm, bound, chain_)

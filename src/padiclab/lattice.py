@@ -42,7 +42,7 @@ from .core import (
     pval,
     residue,
 )
-from .walk import SupWalk, best_mult_pair, reduce_basis, sup_search, vector_pair
+from .walk import SupWalk, best_mult_pair
 
 NORM_SUP = "sup"
 NORM_MULT = "mult"
@@ -115,21 +115,6 @@ def _check_level(xi: PAdicNumber, level: int) -> None:
         raise ValueError(
             f"level must be in [1, {xi.precision}] for this truncation, got {level}"
         )
-
-
-def best_sup_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
-    """Smallest sup-height coprime pair with valuation at least ``level``.
-
-    Reduces the basis (p^level, 0), (r, 1) once and searches it like the
-    chain walk does.
-    """
-    _check_level(xi, level)
-    r = residue(xi, level)
-    if r == 0:
-        return make_pair(xi, xi.p**level, 1)
-    modulus = xi.p**level
-    b1, b2 = reduce_basis((modulus, 0, -1), (r, 1, (xi.value - r) // modulus))
-    return vector_pair(xi.p, xi.precision, level, sup_search(xi.p, b1, b2))
 
 
 def best_mult_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
@@ -639,7 +624,11 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
 def chain_from_entries(
     p: int, norm: str, entries: tuple[ApproxPair, ...]
 ) -> BestApproxChain:
-    """Wrap loaded entries in a chain object (for estimation from CSV)."""
+    """Wrap loaded entries in a chain object (for estimation from CSV).
+
+    The exact entries must form a staircase in ``norm``: strictly increasing
+    metrics and valuations, as every chain has.
+    """
     _require_norm(norm)
     max_level = entries[-1].val.value if entries else 1
     ceiling = ceiling_metric = None
@@ -648,11 +637,12 @@ def chain_from_entries(
         ceiling = entries[-1].val.value
         ceiling_metric = _pair_metric(entries[-1], norm)
         exact = entries[:-1]
-    return BestApproxChain(
-        p=p,
-        norm=norm,
-        max_level=max_level,
-        entries=exact,
-        precision_ceiling=ceiling,
-        ceiling_metric=ceiling_metric,
-    )
+    result = BestApproxChain(p, norm, max_level, exact, ceiling, ceiling_metric)
+    metrics = result.metrics()
+    for k in range(1, len(exact)):
+        if metrics[k] <= metrics[k - 1] or exact[k].val.value <= exact[k - 1].val.value:
+            raise ValueError(
+                f"chain entries {k - 1} and {k} are not a {norm} staircase: "
+                "metrics and valuations must strictly increase"
+            )
+    return result

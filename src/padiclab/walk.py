@@ -4,8 +4,9 @@ The lattices are ``Lambda_v = {(x, y) : x = y * xi (mod p^v)}``; the
 minimiser of a level is its key-minimal pair with p not dividing y.  Two
 exact kernels compute it:
 
-* :class:`SupWalk` carries a Lagrange-Gauss-reduced basis from level to
-  level and searches it (sup norm);
+* :class:`SupWalk` carries a Gauss-reduced basis b1, b2 from level to
+  level, and :func:`sup_search` picks the minimiser among b1, b2 and
+  b2 - b1 (sup norm);
 * :func:`best_mult_pair` runs a continued-fraction walk on the level's
   residue (product norm): it reads every partial quotient, and scores
   only the front pairs whose quotient is near the largest admissible one.
@@ -69,57 +70,37 @@ def _sup_key(x: int, y: int) -> tuple[int, int, int, int]:
 def sup_search(p: int, b1: Vector, b2: Vector) -> Vector:
     """Key-minimal vector with p not dividing y in the lattice of b1, b2.
 
-    The basis must be reduced (:func:`reduce_basis`) and the lattice must not
-    contain (0, 1), so that p not dividing y already forces x != 0.  The
-    key is (height, |x|, x > 0 first, y) after normalising to y > 0.
+    The basis must come from :func:`reduce_basis` on Lambda_v above the zero
+    levels, so (0, 1) is not in it and p not dividing y forces x != 0.  The
+    key is (height, |x|, x > 0 first, y) after normalising to y > 0, and the
+    minimiser is b1, b2 or b2 - b1.  Write h_i = |b_i|, a vector as
+    a*b1 + c*b2 with c >= 0, and recall h1*h2 <= p^v (Minkowski).
 
-    Write a vector as a*b1 + c*b2 with c >= 0.  Multiples of b1 (c = 0)
-    give b1 at best.  Every c != 0 vector is independent of b1, so its
-    height is at least |b2|; when b1 qualifies and |b2| > |b1| it wins
-    outright, and otherwise the winner's height is exactly |b2|.  For
-    c = 1 that height is the minimum over a, reached at a = 0, so when
-    b2 +- b1 are both higher, b2 is the only c = 1 candidate.  For c >= 2,
-    |det(b1, v)| = c*D <= (|x1| + |y1|)*|v| with D the determinant, and
-    reduced bases have |b1|*|b2| <= D (Minkowski), so c = 2 reaches |b2|
-    only when |x1| = |y1| and D = |b1|*|b2|, and c >= 3 never does.  In the
-    remaining cases, for fixed c the height, |x|, the sign of x*y and |y|
-    are linear between the kinks of max(|x(a)|, |y(a)|) (the roots of x(a)
-    and y(a) and the two crossings |x(a)| = |y(a)|), so the key is monotone
-    there, and the vectors with p | y form at most one residue class of a:
-    the best admissible a lies within one step of the floor or ceiling of
-    a kink.
+    1. c = 0: b1 is the best multiple of b1; c != 0 gives height >= h2.
+    2. c >= 2 never reaches h2: c*p^v <= (|x1| + |y1|)*h2 <= 2*h1*h2 <= 2*p^v,
+       so c = 2 needs |x1| = |y1| and h1*h2 = p^v.  Then b2 lies on an axis,
+       reducedness forces h2 = h1, and (h1, 0) in Lambda_v makes p^v divide
+       h1, against h1^2 <= p^v.
+    3. c = 1: the last step of :func:`reduce_basis` set b2 = b2' - mu*b1, mu
+       the floor of the crossing point of |b2' - t*b1| (or mu + 1 when that
+       is strictly shorter).  Off the axes |b2 + a*b1| is strictly monotone
+       on each side of its real minimum, so b2 + b1 is longer than b2 and
+       b2 - k*b1 (k >= 2) longer than b2 - b1.
+    4. b1 on an axis: y1 = 0 would need p^v | x1, against h1*h2 <= p^v.
+       x1 = 0 gives p | y1, so every b2 + a*b1 of height h2 has |x| = |x2|
+       and the same admissibility; mu = floor(y2'/y1) left y2 between 0 and
+       y1, so for each sign of y the smallest |y| is at b2 or b2 - b1.
     """
     x1, y1, f1 = b1
     x2, y2, f2 = b2
-    h1, h2 = _height(b1), _height(b2)
-    if y1 % p and h2 > h1:
+    if y1 % p and _height(b2) > _height(b1):
         return b1
-    candidates = [(1, 0)] if y1 % p else []
-    multipliers = []
-    if max(abs(x2 + x1), abs(y2 + y1)) > h2 < max(abs(x2 - x1), abs(y2 - y1)):
-        candidates.append((0, 1))
-    else:
-        multipliers.append(1)
-    if abs(x1) == abs(y1) and abs(x1 * y2 - x2 * y1) == h1 * h2:
-        multipliers.append(2)
-    for c in multipliers:
-        cx, cy = c * x2, c * y2
-        kinks = ((-cx, x1), (-cy, y1), (cy - cx, x1 - y1), (-cx - cy, x1 + y1))
-        for num, den in kinks:
-            if den:
-                floor = num // den
-                candidates.extend((a, c) for a in range(floor - 1, floor + 3))
-    best_key = None
-    for a, c in candidates:
-        y = a * y1 + c * y2
-        if y % p:
-            key = _sup_key(a * x1 + c * x2, y)
-            if best_key is None or key < best_key:
-                best_key, best = key, (a, c)
-    if best_key is None:  # unreachable: b2 qualifies whenever b1 does not
-        raise AssertionError("reduced basis produced no candidate")
-    a, c = best
-    return (a * x1 + c * x2, a * y1 + c * y2, a * f1 + c * f2)
+    # Lambda_v holds a pair with y = 1, so p divides at most one of y1, y2.
+    best = min((v for v in (b1, b2) if v[1] % p), key=lambda v: _sup_key(v[0], v[1]))
+    x, y = x2 - x1, y2 - y1
+    if y % p and _sup_key(x, y) < _sup_key(best[0], best[1]):
+        return (x, y, f2 - f1)
+    return best
 
 
 def vector_pair(p: int, precision: int, level: int, vec: Vector) -> ApproxPair:

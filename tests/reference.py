@@ -3,13 +3,14 @@
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
 minimisers, the product walk that scores every admissible front pair
-behind a bit-length prefilter, digit extraction by one divmod per digit,
-the chunked valuation loop and the list scan for the product chain's
-required valuation, and the enumeration oracle and box minimum that build
-one ``ApproxPair`` per ladder candidate before sorting them.  The chain
-crawl visits every level with the per-level minimisers, reducing the sup
-basis from scratch each time, and shares no staircase code with the
-package.  The independence check is a plain all-pairs scan.  The Schneider
+behind a bit-length prefilter, the sup search that scores the floors and
+ceilings of the kinks of a reduced basis, digit extraction by one divmod
+per digit, the chunked valuation loop and the list scan for the product
+chain's required valuation, and the enumeration oracle and box minimum that
+build one ``ApproxPair`` per ladder candidate before sorting them.  The
+chain crawl visits every level with the candidate-set walk, in both norms,
+and shares neither a kernel nor staircase code with the package.  The
+independence check is a plain all-pairs scan.  The Schneider
 block search is seeded by a float logarithm, and digit surgery edits the
 digit vector.
 Tests require the package to agree with them exactly.
@@ -29,13 +30,12 @@ from padiclab import (
     SurgeryResult,
     SurgerySpec,
     UniformWitness,
-    best_mult_at_level,
-    best_sup_at_level,
     from_digits,
     ilog,
     linear_form_valuation,
     make_pair,
 )
+from padiclab.walk import Vector, _height, _sup_key
 
 
 def best_pair(p: int, modulus: int, r: int, norm: str) -> tuple[int, int]:
@@ -137,6 +137,62 @@ def front_walk_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
     return best_xy
 
 
+def kink_sup_search(p: int, b1: Vector, b2: Vector) -> Vector:
+    """Key-minimal vector with p not dividing y in the lattice of b1, b2.
+
+    The basis must be reduced (:func:`reduce_basis`) and the lattice must not
+    contain (0, 1), so that p not dividing y already forces x != 0.  The
+    key is (height, |x|, x > 0 first, y) after normalising to y > 0.
+
+    Write a vector as a*b1 + c*b2 with c >= 0.  Multiples of b1 (c = 0)
+    give b1 at best.  Every c != 0 vector is independent of b1, so its
+    height is at least |b2|; when b1 qualifies and |b2| > |b1| it wins
+    outright, and otherwise the winner's height is exactly |b2|.  For
+    c = 1 that height is the minimum over a, reached at a = 0, so when
+    b2 +- b1 are both higher, b2 is the only c = 1 candidate.  For c >= 2,
+    |det(b1, v)| = c*D <= (|x1| + |y1|)*|v| with D the determinant, and
+    reduced bases have |b1|*|b2| <= D (Minkowski), so c = 2 reaches |b2|
+    only when |x1| = |y1| and D = |b1|*|b2|, and c >= 3 never does.  In the
+    remaining cases, for fixed c the height, |x|, the sign of x*y and |y|
+    are linear between the kinks of max(|x(a)|, |y(a)|) (the roots of x(a)
+    and y(a) and the two crossings |x(a)| = |y(a)|), so the key is monotone
+    there, and the vectors with p | y form at most one residue class of a:
+    the best admissible a lies within one step of the floor or ceiling of
+    a kink.
+    """
+    x1, y1, f1 = b1
+    x2, y2, f2 = b2
+    h1, h2 = _height(b1), _height(b2)
+    if y1 % p and h2 > h1:
+        return b1
+    candidates = [(1, 0)] if y1 % p else []
+    multipliers = []
+    if max(abs(x2 + x1), abs(y2 + y1)) > h2 < max(abs(x2 - x1), abs(y2 - y1)):
+        candidates.append((0, 1))
+    else:
+        multipliers.append(1)
+    if abs(x1) == abs(y1) and abs(x1 * y2 - x2 * y1) == h1 * h2:
+        multipliers.append(2)
+    for c in multipliers:
+        cx, cy = c * x2, c * y2
+        kinks = ((-cx, x1), (-cy, y1), (cy - cx, x1 - y1), (-cx - cy, x1 + y1))
+        for num, den in kinks:
+            if den:
+                floor = num // den
+                candidates.extend((a, c) for a in range(floor - 1, floor + 3))
+    best_key = None
+    for a, c in candidates:
+        y = a * y1 + c * y2
+        if y % p:
+            key = _sup_key(a * x1 + c * x2, y)
+            if best_key is None or key < best_key:
+                best_key, best = key, (a, c)
+    if best_key is None:  # unreachable: b2 qualifies whenever b1 does not
+        raise AssertionError("reduced basis produced no candidate")
+    a, c = best
+    return (a * x1 + c * x2, a * y1 + c * y2, a * f1 + c * f2)
+
+
 def int_to_digits(n: int, p: int, count: int) -> list[int]:
     """Little-endian base-p digits of ``n mod p**count``, one divmod each."""
     n %= p**count
@@ -177,7 +233,7 @@ def mult_required_valuation(
 
 
 def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
-    """Chain from the minimisers of every level 1..max_level, in order.
+    """Chain from the :func:`best_pair` minimisers of every level 1..max_level.
 
     A level whose minimiser is no deeper than the last entry adds nothing; a
     product pair below :func:`mult_required_valuation` of the accepted pairs
@@ -185,7 +241,6 @@ def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
     first censored pair ends the chain and drops a last entry of its metric.
     """
     mult = norm == "mult"
-    minimiser = best_mult_at_level if mult else best_sup_at_level
 
     def metric(pair: ApproxPair) -> int:
         return pair.height_mult_sq if mult else pair.height_sup
@@ -194,7 +249,8 @@ def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
     accepted: list[tuple[int, int]] = []
     ceiling = ceiling_metric = None
     for level in range(1, max_level + 1):
-        pair = minimiser(xi, level)
+        modulus = xi.p**level
+        pair = make_pair(xi, *best_pair(xi.p, modulus, xi.value % modulus, norm))
         val = pair.val.value
         if not pair.val.is_exact:
             ceiling, ceiling_metric = val, metric(pair)

@@ -21,6 +21,7 @@ import padiclab
 import reference
 from padiclab import from_rational, load_report, save_digit_file, save_report
 from padiclab.cli import SWEEP_FIELDS, build_parser, main
+from conftest import NON_STAIRCASES, write_chain_csv
 
 
 def run_cli(*argv: str) -> int:
@@ -285,6 +286,7 @@ def _tiny_report(tmp_path) -> Path:
         (("--lacunary-c", "3"), "--lacunary-d"),
         (("--exact-checks",), "--chain"),
         (("--checks", "no_such_check"), "unknown checks"),
+        (("--chain", "chain.csv"), "--chain requires --p"),
     ],
 )
 def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
@@ -295,6 +297,45 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
         "-o", str(tmp_path / "checks.json"),
     ) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("construct", "lacunary", "--p", "2", "--growth", "exp:2"), "unsupported growth"),
+        (("construct", "lacunary", "--p", "2", "--growth", "pow:x"), "malformed growth"),
+        (("construct", "lacunary", "--p", "2", "--growth", "pow:1"), "must exceed 1"),
+        (("construct", "schneider", "--p", "2", "--mu", "5/0", "--steps", "3"),
+         "malformed exponent sequence"),
+        (("construct", "schneider", "--p", "2", "--mu", "5/2,", "--steps", "3"),
+         "malformed exponent sequence"),
+        (("sweep", "--p", "2", "--grid", "2.5,x"), "malformed grid"),
+        (("sweep", "--p", "2", "--grid", ""), "malformed grid"),
+        (("estimate", "--chain", "{chain}", "--p", "2", "--norm", "sup",
+          "--chain-sup", "{chain}"), "--chain-sup only applies"),
+    ],
+)
+def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
+    chain_csv = tmp_path / "chain.csv"
+    write_chain_csv(chain_csv, ((3, 1, 1), (5, 1, 2), (7, 1, 3)))
+    out = tmp_path / "out"
+    argv = [arg.format(chain=chain_csv) for arg in argv]
+    assert run_cli(*argv, "-o", str(out)) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(NON_STAIRCASES))
+def test_estimate_refuses_a_chain_that_is_no_staircase(tmp_path, capsys, name):
+    chain_csv = tmp_path / "chain.csv"
+    write_chain_csv(chain_csv, NON_STAIRCASES[name])
+    assert run_cli(
+        "estimate", "--chain", str(chain_csv), "--p", "2", "--norm", "sup",
+        "-o", str(tmp_path / "report.json"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "staircase" in err
+    assert "Traceback" not in err
 
 
 def test_verify_output_file_is_optional(tmp_path, capsys):

@@ -21,7 +21,6 @@ from padiclab import (
     build_lacunary,
     lacunary_pow_exponents,
     best_mult_at_level,
-    best_sup_at_level,
     chain,
     chain_from_entries,
     from_digits,
@@ -38,8 +37,8 @@ from padiclab import (
 )
 from padiclab import lattice
 from padiclab.lattice import _mult_required_valuation, _next_anchor
-from padiclab.walk import SupWalk, best_mult_pair
-from conftest import seeded_xi
+from padiclab.walk import SupWalk, best_mult_pair, reduce_basis, sup_search
+from conftest import NON_STAIRCASES, seeded_xi, write_chain_csv
 
 PRIMES = (2, 3, 5, 7)
 
@@ -71,9 +70,15 @@ def entry_triples(chain_):
 # ---------------------------------------------------------------------------
 
 
+def sup_at_level(xi, level):
+    walk = SupWalk(xi)
+    walk.advance(level)
+    return walk.best_pair()
+
+
 def test_best_pair_small_example():
     xi = from_digits(2, [1, 1, 0, 1, 0, 0])  # residue 11 mod 64
-    pair = best_sup_at_level(xi, 4)
+    pair = sup_at_level(xi, 4)
     # 3 * 11 - 1 = 32, so (1, 3) certifies level 4 with sup height 3.
     assert (pair.x, pair.y) == (1, 3)
     assert pair.val.is_exact and pair.val.value == 5
@@ -81,7 +86,7 @@ def test_best_pair_small_example():
 
 def test_best_pair_zero_residue():
     xi = from_digits(5, [0, 0, 1, 3])
-    pair = best_sup_at_level(xi, 2)
+    pair = sup_at_level(xi, 2)
     assert (pair.x, pair.y) == (25, 1)
     pair = best_mult_at_level(xi, 1)
     assert (pair.x, pair.y) == (5, 1)
@@ -90,9 +95,9 @@ def test_best_pair_zero_residue():
 def test_best_pair_level_validation():
     xi = from_digits(2, [1, 1])
     with pytest.raises(ValueError):
-        best_sup_at_level(xi, 0)
+        best_mult_at_level(xi, 0)
     with pytest.raises(ValueError):
-        best_sup_at_level(xi, 3)
+        best_mult_at_level(xi, 3)
 
 
 def test_best_pair_beats_exhaustive_scan():
@@ -116,7 +121,7 @@ def test_best_pair_beats_exhaustive_scan():
                     ):
                         if best[norm] is None or metric < best[norm]:
                             best[norm] = metric
-            sup = best_sup_at_level(xi, level)
+            sup = sup_at_level(xi, level)
             mult = best_mult_at_level(xi, level)
             assert sup.height_sup == best[NORM_SUP]
             assert mult.height_mult_sq == best[NORM_MULT]
@@ -135,8 +140,39 @@ def test_level_minimisers_match_reference_walk(xi):
         sup = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_SUP))
         mult = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_MULT))
         assert walk.best_pair() == sup
-        assert best_sup_at_level(xi, level) == sup
         assert best_mult_at_level(xi, level) == mult
+
+
+# Form value of (r, 1): any integer is the form of some xi = r (mod p^v), and
+# a large one tells apart every combination a*b1 + c*b2 of a small basis.
+_FORM = 10**9 + 7
+
+
+def test_sup_search_matches_kink_reference_on_every_residue():
+    """The three-vector search returns the kink search's vector and form on
+    every basis reduced from (p^v, 0), (r, 1), r != 0, for p^v <= 2^11,
+    3^7, 5^5 and 7^4."""
+    bases = 0
+    for p, top in ((2, 11), (3, 7), (5, 5), (7, 4)):
+        for v in range(1, top + 1):
+            modulus = p**v
+            for r in range(1, modulus):
+                b1, b2 = reduce_basis((modulus, 0, -1), (r, 1, _FORM))
+                assert sup_search(p, b1, b2) == reference.kink_sup_search(p, b1, b2)
+                bases += 1
+    assert bases == 14051
+
+
+@given(xi=padic_numbers(120))
+@settings(max_examples=100, deadline=None)
+def test_sup_search_matches_kink_reference_along_the_walk(xi):
+    """The same on every basis SupWalk carries above the zero levels."""
+    p = xi.p
+    walk = SupWalk(xi)
+    for level in range(walk.zero_levels + 1, xi.precision + 1):
+        walk.advance(level)
+        b1, b2 = walk.b1, walk.b2
+        assert sup_search(p, b1, b2) == reference.kink_sup_search(p, b1, b2)
 
 
 @st.composite
@@ -725,6 +761,39 @@ def test_chain_csv_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         load_chain_entries(path.as_posix())
+
+
+@pytest.mark.parametrize("name", sorted(NON_STAIRCASES))
+def test_chain_from_entries_refuses_non_staircases(tmp_path, name):
+    path = tmp_path / "bad.csv"
+    write_chain_csv(path, NON_STAIRCASES[name])
+    entries = load_chain_entries(path.as_posix())
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="staircase"):
+            chain_from_entries(2, norm, entries)
+
+
+def test_chain_from_entries_reads_the_staircase_in_its_norm(tmp_path):
+    """Products 8, 9 rise while sup heights 8, 3 drop: a product chain only."""
+    path = tmp_path / "mult.csv"
+    write_chain_csv(path, ((8, 1, 1), (3, 3, 2)))
+    entries = load_chain_entries(path.as_posix())
+    assert chain_from_entries(2, NORM_MULT, entries).metrics() == (8, 9)
+    with pytest.raises(ValueError, match="sup staircase"):
+        chain_from_entries(2, NORM_SUP, entries)
+
+
+def test_library_rejects_out_of_range_bounds_and_foreign_chains():
+    xi = from_digits(2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
+    with pytest.raises(ValueError, match="bound must be positive"):
+        oracle_chain(xi, NORM_SUP, 0)
+    for search in (uniform_minimum, uniform_minimum_enum):
+        with pytest.raises(ValueError, match="at least 2"):
+            search(xi, NORM_SUP, 1)
+    other_prime = chain(from_digits(3, [1, 2, 0, 1, 1, 2, 0, 1, 2, 2]), NORM_SUP)
+    for foreign in (chain(xi, NORM_MULT), other_prime):
+        with pytest.raises(ValueError, match="does not match"):
+            uniform_minimum(xi, NORM_SUP, 4, foreign)
 
 
 def test_chain_repr_past_the_str_limit():

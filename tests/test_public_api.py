@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
 
 import padiclab
 
-# Every name in ``padiclab.__all__``, by the module that defines it: 69 in
+# Every name in ``padiclab.__all__``, by the module that defines it: 68 in
 # all.  A new or dropped export shows up as a diff against this table.
 PUBLIC_NAMES = {
     "core": (
@@ -27,9 +29,8 @@ PUBLIC_NAMES = {
     ),
     "lattice": (
         "BestApproxChain", "NORMS", "NORM_MULT", "NORM_SUP", "UniformWitness",
-        "best_mult_at_level", "best_sup_at_level", "chain", "chain_from_entries",
-        "load_chain_entries", "oracle_chain", "save_chain_csv", "uniform_minimum",
-        "uniform_minimum_enum",
+        "best_mult_at_level", "chain", "chain_from_entries", "load_chain_entries",
+        "oracle_chain", "save_chain_csv", "uniform_minimum", "uniform_minimum_enum",
     ),
     "exponents": (
         "ExponentReport", "PointwiseExponent", "build_report", "burn_in_index",
@@ -46,7 +47,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     pinned = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(pinned) == len(set(pinned)) == 69
+    assert len(pinned) == len(set(pinned)) == 68
     assert len(padiclab.__all__) == len(set(padiclab.__all__))
     assert sorted(padiclab.__all__) == sorted(pinned)
 
@@ -56,6 +57,63 @@ def test_public_names_come_from_their_modules():
         module = importlib.import_module(f"padiclab.{module_name}")
         for name in names:
             assert getattr(padiclab, name) is getattr(module, name), name
+
+
+BENCH = Path(__file__).resolve().parents[1] / "padicbench"
+
+
+def _lib_module(node: ast.AST) -> str | None:
+    """``X`` for the expression ``lib.X``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "lib"
+    ):
+        return node.attr
+    return None
+
+
+def _workload_names() -> set[tuple[str, str]]:
+    """(module, name) of every ``lib.<module>.<name>`` in the workloads,
+    also through aliases such as ``lat, ver = lib.lattice, lib.verify``."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and _lib_module(value):
+                        aliases[name.id] = _lib_module(value)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = _lib_module(node.value)
+            if module is None and isinstance(node.value, ast.Name):
+                module = aliases.get(node.value.id)
+            if module is not None:
+                names.add((module, node.attr))
+    return names
+
+
+def test_names_the_benchmark_reaches_resolve(monkeypatch):
+    """The benchmark's tracer wraps its targets by name, and its workloads
+    call padiclab through the module objects, so a deleted or renamed name
+    would break only a benchmark run.  The benchmark's files are only read."""
+    tracer = types.ModuleType("padicbench_tracer")
+    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
+    source = (BENCH / "tracer.py").read_text(encoding="utf-8")
+    exec(compile(source, str(BENCH / "tracer.py"), "exec"), vars(tracer))
+    reached = {(target.module, target.func) for target in tracer.padiclab_targets()}
+    reached |= _workload_names()
+    missing = sorted(
+        f"{module}.{name}"
+        for module, name in reached
+        if not hasattr(importlib.import_module(f"padiclab.{module}"), name)
+    )
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -122,3 +180,16 @@ def test_every_private_definition_is_reachable():
             live_code.append(private[name][1])
     dead = sorted(f"{private[name][0]}.{name}" for name in private.keys() - reached)
     assert dead == []
+
+
+def test_no_module_imports_a_private_name():
+    """A module reads another module's data through public names only."""
+    private = [
+        f"{module_name}: from .{node.module} import {alias.name}"
+        for module_name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
