@@ -252,6 +252,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    wanted = {name.strip() for name in args.checks.split(",") if name.strip()}
+    if not wanted:
+        raise ValueError(f"--checks {args.checks!r} selects no check")
     report = load_report(args.report)
     results = check_chain_bounds(report, args.tol)
     results.extend(check_endlich(report, args.tol))
@@ -271,7 +274,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results.append(check_korollar(sup_chain))
         results.append(check_padicle(entries, args.p))
     if args.checks != "all":
-        wanted = {name.strip() for name in args.checks.split(",") if name.strip()}
         known = {r.name for r in results}
         unknown = wanted - known
         if unknown:
@@ -296,7 +298,7 @@ def _sweep_row(p: int, d: float, terms: int) -> dict:
         "mu_est": report.mu,
         "mu_times_est": report.mu_times,
         "hat_mu_times_est": report.hat_mu_times,
-        "predicted_mu": d,
+        "predicted_mu": max(2.0, d),
         "predicted_mu_times": 2 * d,
     }
 

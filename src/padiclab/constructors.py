@@ -83,14 +83,6 @@ class LacunarySpec:
                 stacklevel=2,
             )
 
-    def gap_ratios(self) -> tuple[float, float]:
-        """Finite-data (liminf, limsup) of a_(k+1)/a_k, skipping a_0 = 0."""
-        a = self.exponents
-        ratios = [a[k + 1] / a[k] for k in range(1, len(a) - 1)]
-        if not ratios:
-            raise ValueError("need at least 3 exponents for gap ratios")
-        return min(ratios), max(ratios)
-
 
 def build_lacunary(spec: LacunarySpec) -> PAdicNumber:
     """The number with digit 1 exactly at the requested exponent positions."""

@@ -85,20 +85,25 @@ def pointwise(chain: BestApproxChain) -> tuple[PointwiseExponent, ...]:
     return tuple(rows)
 
 
-def burn_in_index(length: int, burn_in: float = 0.2) -> int:
+_BURN_IN = 0.2
+
+
+def burn_in_index(length: int) -> int:
     """First chain index used by the estimators (min 2, ceil of the fraction)."""
-    if not 0.0 <= burn_in < 1.0:
-        raise ValueError(f"burn_in fraction must be in [0, 1), got {burn_in}")
-    return max(2, math.ceil(burn_in * length))
+    return max(2, math.ceil(_BURN_IN * length))
 
 
-def _estimate(chain: BestApproxChain, burn_in: float) -> tuple[float, float]:
+def estimate(chain: BestApproxChain) -> tuple[float, float]:
+    """(pointwise, uniform) exponent estimates in the chain's own norm.
+
+    A sup chain gives (mu, hat_mu), a product chain (mu_times, hat_mu_times).
+    """
     rows = pointwise(chain)
-    start = burn_in_index(len(rows), burn_in)
+    start = burn_in_index(len(rows))
     if start > len(rows) - 2:
         raise ValueError(
             f"insufficient data: chain with {len(rows)} entries is too short "
-            f"for burn-in {burn_in}"
+            f"for burn-in {_BURN_IN}"
         )
     taus = [row.tau for row in rows[start:] if row.tau is not None]
     terms = [
@@ -107,24 +112,6 @@ def _estimate(chain: BestApproxChain, burn_in: float) -> tuple[float, float]:
     if not taus or not terms:
         raise ValueError("chain tail has no usable exponent data")
     return max(taus), 1.0 + min(terms)
-
-
-def estimate_classical(
-    chain: BestApproxChain, burn_in: float = 0.2
-) -> tuple[float, float]:
-    """(mu, hat_mu) estimates from a classical chain."""
-    if chain.norm != NORM_SUP:
-        raise ValueError("estimate_classical needs a sup-norm chain")
-    return _estimate(chain, burn_in)
-
-
-def estimate_multiplicative(
-    chain: BestApproxChain, burn_in: float = 0.2
-) -> tuple[float, float]:
-    """(mu_times, hat_mu_times) estimates from a multiplicative chain."""
-    if chain.norm != NORM_MULT:
-        raise ValueError("estimate_multiplicative needs a product-norm chain")
-    return _estimate(chain, burn_in)
 
 
 @dataclass(frozen=True)
@@ -147,16 +134,19 @@ class ExponentReport:
 def build_report(
     chain_sup: BestApproxChain | None = None,
     chain_mult: BestApproxChain | None = None,
-    burn_in: float = 0.2,
 ) -> ExponentReport:
     """Combine chain estimates into a report; at least one chain required."""
     if chain_sup is None and chain_mult is None:
         raise ValueError("build_report needs at least one chain")
+    if chain_sup is not None and chain_sup.norm != NORM_SUP:
+        raise ValueError("chain_sup must be a sup-norm chain")
+    if chain_mult is not None and chain_mult.norm != NORM_MULT:
+        raise ValueError("chain_mult must be a product-norm chain")
     mu = hat_mu = mu_times = hat_mu_times = None
     if chain_sup is not None:
-        mu, hat_mu = estimate_classical(chain_sup, burn_in)
+        mu, hat_mu = estimate(chain_sup)
     if chain_mult is not None:
-        mu_times, hat_mu_times = estimate_multiplicative(chain_mult, burn_in)
+        mu_times, hat_mu_times = estimate(chain_mult)
     primary = chain_mult if chain_mult is not None else chain_sup
     assert primary is not None
     limited = any(
@@ -167,7 +157,7 @@ def build_report(
         mu_times=mu_times,
         hat_mu=hat_mu,
         hat_mu_times=hat_mu_times,
-        burn_in=burn_in_index(len(primary.entries), burn_in),
+        burn_in=burn_in_index(len(primary.entries)),
         precision_limited=limited,
         pointwise=pointwise(primary),
     )

@@ -38,6 +38,7 @@ from .core import (
     ilog,
     int_repr,
     int_to_decimal,
+    is_prime,
     make_pair,
     pval,
     residue,
@@ -626,10 +627,19 @@ def chain_from_entries(
 ) -> BestApproxChain:
     """Wrap loaded entries in a chain object (for estimation from CSV).
 
-    The exact entries must form a staircase in ``norm``: strictly increasing
-    metrics and valuations, as every chain has.
+    Valuations must be nonnegative, and the exact entries must form a
+    staircase in ``norm``: strictly increasing metrics and valuations, as
+    every chain has.  Consecutive exact entries must also agree with ``p``:
+    their determinant x_k y_(k+1) - x_(k+1) y_k equals
+    y_k(y_(k+1) xi - x_(k+1)) - y_(k+1)(y_k xi - x_k), so true valuations
+    make it a multiple of p^(v_k).  It is nonzero, because proportional
+    pairs with p not dividing y have the same valuation.
     """
     _require_norm(norm)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if any(e.val.value < 0 for e in entries):
+        raise ValueError("chain entries must have nonnegative valuations")
     max_level = entries[-1].val.value if entries else 1
     ceiling = ceiling_metric = None
     exact = entries
@@ -644,5 +654,16 @@ def chain_from_entries(
             raise ValueError(
                 f"chain entries {k - 1} and {k} are not a {norm} staircase: "
                 "metrics and valuations must strictly increase"
+            )
+    power, level = 1, 0  # power = p**level, raised as the valuations grow
+    for k in range(1, len(exact)):
+        a, b = exact[k - 1], exact[k]
+        power *= p ** (a.val.value - level)
+        level = a.val.value
+        det = a.x * b.y - b.x * a.y
+        if det == 0 or det % power:
+            raise ValueError(
+                f"chain entries {k - 1} and {k} contradict p = {p}: their "
+                f"determinant is not a nonzero multiple of p^{level}"
             )
     return result

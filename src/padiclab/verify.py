@@ -36,6 +36,20 @@ def _skip(name: str, note: str) -> CheckResult:
     return CheckResult(name=name, passed=None, margin=None, inputs={}, note=note)
 
 
+def _at_most(
+    name: str, value: float, bound: float, tol: float, inputs: dict
+) -> CheckResult:
+    """value <= bound within tol; the margin is the untoleranced slack."""
+    return CheckResult(name, value <= bound + tol, bound - value, inputs)
+
+
+def _at_least(
+    name: str, value: float, bound: float, tol: float, inputs: dict
+) -> CheckResult:
+    """value >= bound within tol; the margin is the untoleranced slack."""
+    return CheckResult(name, value >= bound - tol, value - bound, inputs)
+
+
 def check_chain_bounds(report: ExponentReport, tol: float = 0.05) -> list[CheckResult]:
     """Universal exponent inequalities every report must satisfy.
 
@@ -49,50 +63,24 @@ def check_chain_bounds(report: ExponentReport, tol: float = 0.05) -> list[CheckR
     if mu is None:
         results.append(_skip("mu_lower", "no classical estimate"))
     else:
-        results.append(
-            CheckResult("mu_lower", mu >= 2 - tol, mu - 2.0, {"mu": mu})
-        )
+        results.append(_at_least("mu_lower", mu, 2.0, tol, {"mu": mu}))
     if mu is None or mu_x is None:
         results.append(_skip("chain_order", "needs both norms"))
         results.append(_skip("chain_upper", "needs both norms"))
     else:
-        results.append(
-            CheckResult(
-                "chain_order",
-                mu_x >= mu - tol,
-                mu_x - mu,
-                {"mu": mu, "mu_times": mu_x},
-            )
-        )
-        results.append(
-            CheckResult(
-                "chain_upper",
-                mu_x <= 2 * mu + tol,
-                2 * mu - mu_x,
-                {"mu": mu, "mu_times": mu_x},
-            )
-        )
+        both = {"mu": mu, "mu_times": mu_x}
+        results.append(_at_least("chain_order", mu_x, mu, tol, both))
+        results.append(_at_most("chain_upper", mu_x, 2 * mu, tol, dict(both)))
     if hat is None:
         results.append(_skip("hat_mu_value", "no classical estimate"))
     else:
-        results.append(
-            CheckResult(
-                "hat_mu_value",
-                abs(hat - 2.0) <= tol,
-                -abs(hat - 2.0),
-                {"hat_mu": hat},
-            )
-        )
+        off = abs(hat - 2.0)
+        results.append(CheckResult("hat_mu_value", off <= tol, -off, {"hat_mu": hat}))
     if hat_x is None:
         results.append(_skip("hat_mu_times_upper", "no multiplicative estimate"))
     else:
         results.append(
-            CheckResult(
-                "hat_mu_times_upper",
-                hat_x <= 4.0 + tol,
-                4.0 - hat_x,
-                {"hat_mu_times": hat_x},
-            )
+            _at_most("hat_mu_times_upper", hat_x, 4.0, tol, {"hat_mu_times": hat_x})
         )
     return results
 
@@ -104,43 +92,20 @@ def check_endlich(report: ExponentReport, tol: float = 0.05) -> list[CheckResult
     mu_times >= hat_mu_times^2 - 3 hat_mu_times + 3, and
     hat_mu_times <= (5 + sqrt 5)/2.
     """
+    names = ("uniform_from_pointwise", "pointwise_from_uniform", "uniform_golden_bound")
     mu_x, hat_x = report.mu_times, report.hat_mu_times
     if mu_x is None or hat_x is None:
-        return [_skip("uniform_from_pointwise", "needs multiplicative estimates"),
-                _skip("pointwise_from_uniform", "needs multiplicative estimates"),
-                _skip("uniform_golden_bound", "needs multiplicative estimates")]
-    results = []
+        return [_skip(name, "needs multiplicative estimates") for name in names]
+    both = {"mu_times": mu_x, "hat_mu_times": hat_x}
     if mu_x <= 2.0:
-        results.append(
-            _skip("uniform_from_pointwise", "bound undefined for mu_times <= 2")
-        )
+        results = [_skip(names[0], "bound undefined for mu_times <= 2")]
     else:
         bound = 3.0 + 2.0 / (mu_x - 2.0)
-        results.append(
-            CheckResult(
-                "uniform_from_pointwise",
-                hat_x <= bound + tol,
-                bound - hat_x,
-                {"mu_times": mu_x, "hat_mu_times": hat_x, "bound": bound},
-            )
-        )
+        results = [_at_most(names[0], hat_x, bound, tol, {**both, "bound": bound})]
     floor = hat_x * hat_x - 3.0 * hat_x + 3.0
-    results.append(
-        CheckResult(
-            "pointwise_from_uniform",
-            mu_x >= floor - tol,
-            mu_x - floor,
-            {"mu_times": mu_x, "hat_mu_times": hat_x, "bound": floor},
-        )
-    )
-    results.append(
-        CheckResult(
-            "uniform_golden_bound",
-            hat_x <= GOLDEN_UNIFORM_BOUND + tol,
-            GOLDEN_UNIFORM_BOUND - hat_x,
-            {"hat_mu_times": hat_x, "bound": GOLDEN_UNIFORM_BOUND},
-        )
-    )
+    results.append(_at_least(names[1], mu_x, floor, tol, {**both, "bound": floor}))
+    golden = {"hat_mu_times": hat_x, "bound": GOLDEN_UNIFORM_BOUND}
+    results.append(_at_most(names[2], hat_x, GOLDEN_UNIFORM_BOUND, tol, golden))
     return results
 
 
@@ -294,35 +259,22 @@ def check_surgery_pointwise(witness, tol: float = 0.1) -> list[CheckResult]:
     close to ``t * mu`` (both within relative tolerance ``tol``).
     """
     log_p = math.log(witness.p)
-    mu_target = float(witness.mu)
-    mult_target = float(witness.t * witness.mu)
+    # (name prefix, pairs, target, exponent scale, height, censoring message)
+    families = (
+        ("surgery_classical", witness.truncation_pairs, float(witness.mu), 1,
+         "height_sup", "censored valuation in a truncation witness"),
+        ("surgery_mult", witness.spike_pairs, float(witness.t * witness.mu), 2,
+         "height_mult_sq", "censored valuation in a transplanted witness"),
+    )
     results = []
-    for j, pair in enumerate(witness.truncation_pairs):
-        if not pair.val.is_exact:
-            raise ValueError("censored valuation in a truncation witness")
-        exponent = pair.val.value * log_p / math.log(pair.height_sup)
-        rel = abs(exponent - mu_target) / mu_target
-        results.append(
-            CheckResult(
-                f"surgery_classical_{j}",
-                rel <= tol,
-                tol - rel,
-                {"exponent": exponent, "target": mu_target},
-            )
-        )
-    for j, pair in enumerate(witness.spike_pairs):
-        if not pair.val.is_exact:
-            raise ValueError("censored valuation in a transplanted witness")
-        exponent = 2 * pair.val.value * log_p / math.log(pair.height_mult_sq)
-        rel = abs(exponent - mult_target) / mult_target
-        results.append(
-            CheckResult(
-                f"surgery_mult_{j}",
-                rel <= tol,
-                tol - rel,
-                {"exponent": exponent, "target": mult_target},
-            )
-        )
+    for prefix, pairs, target, scale, height, censored in families:
+        for j, pair in enumerate(pairs):
+            if not pair.val.is_exact:
+                raise ValueError(censored)
+            exponent = scale * pair.val.value * log_p / math.log(getattr(pair, height))
+            rel = abs(exponent - target) / target
+            inputs = {"exponent": exponent, "target": target}
+            results.append(CheckResult(f"{prefix}_{j}", rel <= tol, tol - rel, inputs))
     return results
 
 

@@ -35,8 +35,7 @@ from padiclab import (
     check_padicle,
     check_surgery_pointwise,
     cross_check_uniform,
-    estimate_classical,
-    estimate_multiplicative,
+    estimate,
     lacunary_pow_exponents,
     LacunarySpec,
     oracle_chain,
@@ -130,8 +129,8 @@ def criterion2_bundle():
     xi = build_lacunary(LacunarySpec(p=2, exponents=lacunary_pow_exponents(3, 9)))
     chain_sup = chain(xi, NORM_SUP)
     chain_mult = chain(xi, NORM_MULT)
-    mu, _ = estimate_classical(chain_sup)
-    mu_times, hat_times = estimate_multiplicative(chain_mult)
+    mu, _ = estimate(chain_sup)
+    mu_times, hat_times = estimate(chain_mult)
     report = build_report(chain_sup=chain_sup, chain_mult=chain_mult)
     elapsed = perf_counter() - start
     return chain_sup, chain_mult, report, (mu, mu_times, hat_times), elapsed
@@ -142,7 +141,7 @@ def criterion3_bundle():
     start = perf_counter()
     xi = build_factorial(2, 8)
     chain_mult = chain(xi, NORM_MULT)
-    _, hat_times = estimate_multiplicative(chain_mult)
+    _, hat_times = estimate(chain_mult)
     report = build_report(chain_mult=chain_mult)
     elapsed = perf_counter() - start
     return chain_mult, report, hat_times, elapsed
@@ -319,8 +318,8 @@ def test_criterion_7_digit_surgery_pointwise():
 def test_criterion_8_thue_morse():
     start = perf_counter()
     xi = build_digit_rule(2, "thue-morse", 4096)
-    mu, _ = estimate_classical(chain(xi, NORM_SUP))
-    mu_times, _ = estimate_multiplicative(chain(xi, NORM_MULT))
+    mu, _ = estimate(chain(xi, NORM_SUP))
+    mu_times, _ = estimate(chain(xi, NORM_MULT))
     elapsed = perf_counter() - start
     ok = 1.9 <= mu <= 2.2 and mu_times >= 2.8 and elapsed < 120.0
     line = detail(

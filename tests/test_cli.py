@@ -8,6 +8,7 @@ the printed summaries.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import dataclasses
 import json
@@ -70,6 +71,28 @@ def parser_options(parser: argparse.ArgumentParser, path: str = "") -> dict:
 
 def test_cli_option_surface_is_pinned():
     assert parser_options(build_parser()) == CLI_OPTIONS
+
+
+def test_benchmark_flags_are_options_of_their_subcommands():
+    """Every literal flag a ``run_cli`` call in the benchmark passes exists."""
+    source = Path(__file__).parents[1] / "padicbench" / "workloads.py"
+    known = {
+        command: {spelling for option in options for spelling in option.split("/")}
+        for command, options in parser_options(build_parser()).items()
+    }
+    calls = [
+        node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "run_cli"
+    ]
+    assert calls
+    for call in calls:
+        words = [
+            arg.value for arg in call.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        ]
+        command = " ".join(words[:2]) if words[0] == "construct" else words[0]
+        flags = {word for word in words if word.startswith("-")}
+        assert flags and not flags - known[command], (command, flags - known[command])
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +336,15 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
         (("sweep", "--p", "2", "--grid", ""), "malformed grid"),
         (("estimate", "--chain", "{chain}", "--p", "2", "--norm", "sup",
           "--chain-sup", "{chain}"), "--chain-sup only applies"),
+        (("estimate", "--chain", "{chain}", "--p", "0", "--norm", "sup"),
+         "p must be prime"),
+        (("verify", "--report", "{chain}", "--checks", ""), "selects no check"),
+        (("verify", "--report", "{chain}", "--checks", ","), "selects no check"),
     ],
 )
 def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
     chain_csv = tmp_path / "chain.csv"
-    write_chain_csv(chain_csv, ((3, 1, 1), (5, 1, 2), (7, 1, 3)))
+    write_chain_csv(chain_csv, ((3, 1, 1), (5, 1, 2), (13, 1, 3)))
     out = tmp_path / "out"
     argv = [arg.format(chain=chain_csv) for arg in argv]
     assert run_cli(*argv, "-o", str(out)) == 2
@@ -335,6 +362,44 @@ def test_estimate_refuses_a_chain_that_is_no_staircase(tmp_path, capsys, name):
     ) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "staircase" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_and_verify_refuse_a_chain_of_another_prime(tmp_path, capsys):
+    digit_file = tmp_path / "xi.json"
+    sup_csv = tmp_path / "sup.csv"
+    report_json = tmp_path / "report.json"
+    run_cli(
+        "construct", "lacunary", "--p", "2", "--growth", "pow:3", "--terms", "9",
+        "-o", str(digit_file),
+    )
+    run_cli("approx", "--xi", str(digit_file), "--norm", "sup", "-o", str(sup_csv))
+    assert run_cli(
+        "estimate", "--chain", str(sup_csv), "--p", "2", "--norm", "sup",
+        "-o", str(report_json),
+    ) == 0
+    capsys.readouterr()
+    for argv in (
+        ("estimate", "--chain", str(sup_csv), "--p", "3", "--norm", "sup",
+         "-o", str(tmp_path / "wrong.json")),
+        ("verify", "--report", str(report_json), "--chain", str(sup_csv), "--p", "3"),
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "contradict p = 3" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "wrong.json").exists()
+
+
+def test_estimate_refuses_negative_valuations(tmp_path, capsys):
+    chain_csv = tmp_path / "chain.csv"
+    write_chain_csv(chain_csv, [(2 * k + 3, 1, k - 7) for k in range(7)])
+    assert run_cli(
+        "estimate", "--chain", str(chain_csv), "--p", "2", "--norm", "sup",
+        "-o", str(tmp_path / "report.json"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonnegative valuations" in err
     assert "Traceback" not in err
 
 
@@ -385,6 +450,18 @@ def test_sweep_grid_writes_prediction_columns(tmp_path):
     assert float(rows[1]["predicted_mu"]) == 3.0
     assert float(rows[1]["predicted_mu_times"]) == 6.0
     assert float(rows[1]["mu_est"]) == pytest.approx(3.0, abs=0.5)
+
+
+def test_sweep_predicts_mu_at_least_2(tmp_path):
+    # Dirichlet gives mu >= 2, so gaps growing like 1.5**k predict mu = 2.
+    out = tmp_path / "sweep.csv"
+    with pytest.warns(UserWarning, match="gap ratio"):
+        assert run_cli(
+            "sweep", "--p", "2", "--grid", "1.5", "--terms", "11", "-o", str(out)
+        ) == 0
+    row = read_csv_rows(out)[0]
+    assert float(row["predicted_mu"]) == 2.0
+    assert float(row["predicted_mu_times"]) == 3.0
 
 
 # ---------------------------------------------------------------------------

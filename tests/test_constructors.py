@@ -57,13 +57,6 @@ def test_lacunary_spec_warns_on_slow_gaps():
         LacunarySpec(2, (0, 2, 3, 10))
 
 
-def test_lacunary_gap_ratios():
-    spec = LacunarySpec(2, (0, 1, 3, 9))
-    assert spec.gap_ratios() == (3.0, 3.0)
-    with pytest.raises(ValueError):
-        LacunarySpec(2, (0, 5)).gap_ratios()
-
-
 def test_build_lacunary_value():
     xi = build_lacunary(LacunarySpec(2, (0, 1, 2, 4, 8)))
     assert xi.precision == 9

@@ -17,8 +17,7 @@ from padiclab import (
     burn_in_index,
     chain,
     cross_check_uniform,
-    estimate_classical,
-    estimate_multiplicative,
+    estimate,
     load_report,
     pointwise,
     report_to_dict,
@@ -82,7 +81,7 @@ def geometric_rows(count):
 
 def test_estimate_classical_geometric_chain():
     chain_ = synthetic_chain(NORM_SUP, geometric_rows(10))
-    mu, hat_mu = estimate_classical(chain_)
+    mu, hat_mu = estimate(chain_)
     assert mu == pytest.approx(3.0, abs=1e-12)
     # Uniform dip terms are 2(k+1)/(k+2); the burn-in tail starts at row 2.
     assert hat_mu == pytest.approx(2.5, abs=1e-12)
@@ -91,35 +90,31 @@ def test_estimate_classical_geometric_chain():
 def test_estimate_multiplicative_geometric_chain():
     rows = [(4**k, 1, 3 * k) for k in range(1, 11)]
     chain_ = synthetic_chain(NORM_MULT, rows)
-    mu_times, hat_mu_times = estimate_multiplicative(chain_)
+    mu_times, hat_mu_times = estimate(chain_)
     assert mu_times == pytest.approx(3.0, abs=1e-12)
     assert hat_mu_times == pytest.approx(2.5, abs=1e-12)
 
 
-def test_estimators_reject_wrong_norm():
+def test_build_report_rejects_wrong_norm():
     sup = synthetic_chain(NORM_SUP, geometric_rows(5))
     mult = synthetic_chain(NORM_MULT, geometric_rows(5))
-    with pytest.raises(ValueError):
-        estimate_classical(mult)
-    with pytest.raises(ValueError):
-        estimate_multiplicative(sup)
+    with pytest.raises(ValueError, match="chain_sup must be a sup-norm chain"):
+        build_report(chain_sup=mult)
+    with pytest.raises(ValueError, match="chain_mult must be a product-norm chain"):
+        build_report(chain_mult=sup)
 
 
 def test_estimate_requires_enough_entries():
     chain_ = synthetic_chain(NORM_SUP, geometric_rows(3))
     with pytest.raises(ValueError, match="insufficient data"):
-        estimate_classical(chain_)
+        estimate(chain_)
 
 
 def test_burn_in_index():
-    assert burn_in_index(10, 0.2) == 2
-    assert burn_in_index(20, 0.2) == 4
-    assert burn_in_index(21, 0.2) == 5
-    assert burn_in_index(100, 0.0) == 2
-    with pytest.raises(ValueError):
-        burn_in_index(10, 1.0)
-    with pytest.raises(ValueError):
-        burn_in_index(10, -0.1)
+    assert burn_in_index(3) == 2
+    assert burn_in_index(10) == 2
+    assert burn_in_index(20) == 4
+    assert burn_in_index(21) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +124,8 @@ def test_burn_in_index():
 
 def test_build_report_combines_chains(lacunary_chain_sup, lacunary_chain_mult):
     report = build_report(lacunary_chain_sup, lacunary_chain_mult)
-    mu, hat_mu = estimate_classical(lacunary_chain_sup)
-    mu_times, hat_mu_times = estimate_multiplicative(lacunary_chain_mult)
+    mu, hat_mu = estimate(lacunary_chain_sup)
+    mu_times, hat_mu_times = estimate(lacunary_chain_mult)
     assert report.mu == mu
     assert report.hat_mu == hat_mu
     assert report.mu_times == mu_times

@@ -774,13 +774,30 @@ def test_chain_from_entries_refuses_non_staircases(tmp_path, name):
 
 
 def test_chain_from_entries_reads_the_staircase_in_its_norm(tmp_path):
-    """Products 8, 9 rise while sup heights 8, 3 drop: a product chain only."""
+    """Products 8, 12 rise while sup heights 8, 4 drop: a product chain only."""
     path = tmp_path / "mult.csv"
-    write_chain_csv(path, ((8, 1, 1), (3, 3, 2)))
+    write_chain_csv(path, ((8, 1, 1), (4, 3, 2)))
     entries = load_chain_entries(path.as_posix())
-    assert chain_from_entries(2, NORM_MULT, entries).metrics() == (8, 9)
+    assert chain_from_entries(2, NORM_MULT, entries).metrics() == (8, 12)
     with pytest.raises(ValueError, match="sup staircase"):
         chain_from_entries(2, NORM_SUP, entries)
+
+
+def test_chain_from_entries_refuses_a_contradicted_prime():
+    entries = chain(seeded_xi(2, 64, 5), NORM_SUP).entries
+    assert chain_from_entries(2, NORM_SUP, entries).entries == entries
+    with pytest.raises(ValueError, match="contradict p = 3"):
+        chain_from_entries(3, NORM_SUP, entries)
+
+
+def test_chain_from_entries_refuses_negative_valuations(tmp_path):
+    # Heights 3, 5, ..., 15 with valuations -7, ..., -1: a staircase otherwise.
+    path = tmp_path / "negative.csv"
+    write_chain_csv(path, [(2 * k + 3, 1, k - 7) for k in range(7)])
+    entries = load_chain_entries(path.as_posix())
+    for norm in NORMS:
+        with pytest.raises(ValueError, match="nonnegative valuations"):
+            chain_from_entries(2, norm, entries)
 
 
 def test_library_rejects_out_of_range_bounds_and_foreign_chains():

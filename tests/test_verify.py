@@ -158,6 +158,59 @@ def test_golden_bound_value():
 
 
 # ---------------------------------------------------------------------------
+# every check at its boundary
+# ---------------------------------------------------------------------------
+
+# One-sided check: (report fields around the checked value, its bound, +1
+# for an upper bound and -1 for a lower one).  Each bound is exact in floats:
+# 2 mu = 6, 3 + 2/(4 - 2) = 4 and 2.5^2 - 3 * 2.5 + 3 = 1.75.
+ONE_SIDED = {
+    "mu_lower": (lambda v: {"mu": v}, 2.0, -1),
+    "chain_order": (lambda v: {"mu": 3.0, "mu_times": v}, 3.0, -1),
+    "chain_upper": (lambda v: {"mu": 3.0, "mu_times": v}, 6.0, 1),
+    "hat_mu_times_upper": (lambda v: {"hat_mu_times": v}, 4.0, 1),
+    "uniform_from_pointwise": (lambda v: {"mu_times": 4.0, "hat_mu_times": v}, 4.0, 1),
+    "pointwise_from_uniform": (lambda v: {"mu_times": v, "hat_mu_times": 2.5}, 1.75, -1),
+    "uniform_golden_bound": (
+        lambda v: {"mu_times": 1.0, "hat_mu_times": v}, GOLDEN_UNIFORM_BOUND, 1,
+    ),
+}
+
+
+def report_check(name, tol, **fields):
+    report = fake_report(**fields)
+    return by_name(check_chain_bounds(report, tol) + check_endlich(report, tol))[name]
+
+
+@pytest.mark.parametrize("tol", (0.0, 0.05, 0.25))
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_one_sided_checks_hold_exactly_to_the_tolerance(name, tol):
+    fields, bound, side = ONE_SIDED[name]
+    edge = bound + side * tol
+    at_edge = report_check(name, tol, **fields(edge))
+    assert at_edge.passed is True
+    assert at_edge.margin == side * (bound - edge)  # the untoleranced slack
+    beyond = math.nextafter(edge, side * math.inf)
+    assert report_check(name, tol, **fields(beyond)).passed is False
+
+
+@pytest.mark.parametrize("tol", (0.0, 0.25))
+def test_two_sided_checks_hold_exactly_to_the_tolerance(tol):
+    # Dyadic values keep |hat - 2| and the window 2.5 .. 3.5 (c = 2, d = 3)
+    # exact in floats.
+    for hat, side in ((2.0 - tol, -1), (2.0 + tol, 1)):
+        at_edge = report_check("hat_mu_value", tol, hat_mu=hat)
+        assert at_edge.passed is True and at_edge.margin == -tol
+        beyond = math.nextafter(hat, side * math.inf)
+        assert report_check("hat_mu_value", tol, hat_mu=beyond).passed is False
+    for hat, side in ((2.5 - tol, -1), (3.5 + tol, 1)):
+        at_edge = check_lacunary_sandwich(fake_report(hat_mu_times=hat), 2.0, 3.0, tol)
+        assert at_edge.passed is True and at_edge.margin == -tol
+        beyond = fake_report(hat_mu_times=math.nextafter(hat, side * math.inf))
+        assert check_lacunary_sandwich(beyond, 2.0, 3.0, tol).passed is False
+
+
+# ---------------------------------------------------------------------------
 # lacunary window
 # ---------------------------------------------------------------------------
 
