@@ -66,8 +66,6 @@ def _parse_growth(text: str) -> float:
         d = float(text[len("pow:"):])
     except ValueError as exc:
         raise ValueError(f"malformed growth spec {text!r}") from exc
-    if d <= 1.0:
-        raise ValueError(f"growth base must exceed 1, got {d}")
     return d
 
 
@@ -226,9 +224,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         result = oracle_chain(xi, args.norm, args.oracle)
     save_chain_csv(result, args.out)
     print(f"wrote {len(result.entries)} chain entries to {args.out}")
-    if result.precision_limited:
+    if result.censored is not None:
         print(
-            f"censoring: a pair with valuation >= {result.precision_ceiling} "
+            f"censoring: a pair with valuation >= {result.censored.val.value} "
             "hit the precision ceiling; the chain stops before it",
             file=sys.stderr,
         )

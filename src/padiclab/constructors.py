@@ -96,11 +96,14 @@ def lacunary_pow_exponents(d: float, terms: int) -> tuple[int, ...]:
     """Exponents a_k ~ round(d**k) with a_0 = 0, forced strictly increasing."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-    if d <= 1:
-        raise ValueError("growth factor must exceed 1")
+    if not 1 < d < float("inf"):
+        raise ValueError(f"growth factor must exceed 1 and be finite, got {d}")
     out = [0, max(1, round(d))]
-    for k in range(2, terms):
-        out.append(max(out[-1] + 1, round(d**k)))
+    try:
+        for k in range(2, terms):
+            out.append(max(out[-1] + 1, round(d**k)))
+    except OverflowError as exc:
+        raise ValueError(f"growth factor {d} overflows at {terms} terms") from exc
     return tuple(out[:terms])
 
 

@@ -261,6 +261,8 @@ def cross_check_uniform(
     exact-valuation discrepancy; ``ok`` requires identical valuations,
     identical minimising pairs and exponents within 1e-9.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     records: list[dict] = []
     metrics = chain_.metrics()
     for k in _sample_indices(len(metrics) - 2, samples):

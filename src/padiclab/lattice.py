@@ -36,7 +36,6 @@ from .core import (
     Valuation,
     decimal_to_int,
     ilog,
-    int_repr,
     int_to_decimal,
     is_prime,
     make_pair,
@@ -77,22 +76,21 @@ def _pair_metric(pair: ApproxPair, norm: str) -> int:
 class BestApproxChain:
     """A finite chain of best-approximation pairs for one norm.
 
-    ``precision_ceiling`` is set when the search ran into a pair whose
-    valuation is censored by the truncation (only a lower bound is known);
-    the chain stops just before that pair, and ``ceiling_metric`` keeps the
-    pair's height (or product), from which on box minima are unknown.
+    ``censored`` is the pair the search stopped at: the minimiser of some
+    level whose valuation the truncation censors (only a lower bound is
+    known).  Every pair of valuation at least that level has at least its
+    metric, so box minima are known below that metric and unknown from it
+    on.  A chain that met no censored pair knows nothing past its last entry.
     """
 
     p: int
     norm: str
-    max_level: int
     entries: tuple[ApproxPair, ...]
-    precision_ceiling: int | None = None
-    ceiling_metric: int | None = None
+    censored: ApproxPair | None = None
 
     @property
     def precision_limited(self) -> bool:
-        return self.precision_ceiling is not None
+        return self.censored is not None
 
     def metrics(self) -> tuple[int, ...]:
         return tuple(_pair_metric(pair, self.norm) for pair in self.entries)
@@ -103,11 +101,9 @@ class BestApproxChain:
             shown += f", ... {len(self.entries) - _REPR_ENTRIES} more"
         elif len(self.entries) == 1:
             shown += ","
-        metric = None if self.ceiling_metric is None else int_repr(self.ceiling_metric)
         return (
-            f"BestApproxChain(p={self.p}, norm={self.norm!r}, max_level={self.max_level}, "
-            f"entries=({shown}), precision_ceiling={self.precision_ceiling}, "
-            f"ceiling_metric={metric})"
+            f"BestApproxChain(p={self.p}, norm={self.norm!r}, entries=({shown}), "
+            f"censored={self.censored!r})"
         )
 
 
@@ -125,35 +121,34 @@ def best_mult_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
     return make_pair(xi, x, y)
 
 
-def _mult_required_valuation(p: int, anchor: tuple[int, int], product: int) -> int:
-    """Minimal valuation a new product-``product`` pair must reach.
+class Scalings:
+    """The deepest valuation that p-power scalings of admitted pairs reach.
 
-    A candidate competes against p-power scalings of every accepted pair
-    (P_i, v_i) and of the trivial height-one pair (1, 0): scaling by p^m
-    multiplies the product by p^(2m) and deepens the valuation by m.
-    Equality is enough to enter the chain, so the candidate needs valuation
-    at least max_i v_i + floor(log_{p^2}(product / P_i)), which equals
-    floor(log_{p^2}(product * p^(2 v_i) / P_i)).  Products only grow along
-    a chain, so every P_i <= product and the maximum is reached at the
-    ``anchor``: the entry minimising P_i / p^(2 v_i) (see
-    :func:`_next_anchor`).
+    Scaling a pair (metric M, valuation v) by p^m multiplies M by base^m
+    (base p for the sup height, p^2 for the product) and deepens v by m, so
+    inside a box B >= M it reaches v + floor(log_base(B / M)), which is
+    floor(log_base(B * base^v / M)).  Over the start pair (1, ``val``) and
+    every admitted pair, all of metric at most B, the maximum is reached at
+    the anchor: the pair minimising M / base^v.  Metrics only grow along a
+    chain, so :meth:`reach` reads one anchor.
     """
-    anchor_product, anchor_val = anchor
-    return anchor_val + ilog(product // anchor_product, p * p)
 
+    def __init__(self, base: int, val: int = 0) -> None:
+        self.base = base
+        self.metric, self.val = 1, val
 
-def _next_anchor(
-    p: int, anchor: tuple[int, int], product: int, val: int
-) -> tuple[int, int]:
-    """Anchor after accepting ``(product, val)``, a deeper valuation.
+    def admit(self, metric: int, val: int) -> None:
+        """Make ``(metric, val)`` the anchor if it beats the current one."""
+        if val >= self.val:
+            better = metric < self.metric * self.base ** (val - self.val)
+        else:
+            better = metric * self.base ** (self.val - val) < self.metric
+        if better:
+            self.metric, self.val = metric, val
 
-    A replaced last entry needs no removal: its replacement has the same
-    product and a deeper valuation, so it beats it as an anchor.
-    """
-    anchor_product, anchor_val = anchor
-    if product < anchor_product * p ** (2 * (val - anchor_val)):
-        return product, val
-    return anchor
+    def reach(self, metric: int) -> int:
+        """Deepest valuation a scaling reaches in the box ``metric``."""
+        return self.val + ilog(metric // self.metric, self.base)
 
 
 def _records(
@@ -165,19 +160,19 @@ def _records(
     ``level``, or None when the box holds none (which ends the chain).  A
     pair of valuation ``val`` is a record, replacing its predecessor when
     it has the same metric, and the search resumes at level val + 1.  A
-    product pair that misses the required valuation against the anchor
-    (:func:`_mult_required_valuation`) sends the search to that valuation,
-    capped at ``max_level``, since no pair of lower valuation can enter the
-    chain any more; ``max_level`` itself is still visited.  The chain
-    stops at the first censored pair, whose level and metric set
-    ``precision_ceiling`` and ``ceiling_metric``; a record of the same
-    metric is dropped, since the censored pair reaches at least as deep.
+    product pair must reach the valuation that p^2-power scalings of the
+    records already reach in its box (:class:`Scalings`, equality is enough
+    to enter the chain).  One that misses it sends the search to that
+    valuation, capped at ``max_level``, since no pair of lower valuation
+    can enter the chain any more; ``max_level`` itself is still visited.
+    The chain stops at the first censored pair, which it keeps; a record of
+    the same metric is dropped, since the censored pair reaches at least as
+    deep.
     """
     mult = norm == NORM_MULT
     entries: list[ApproxPair] = []
     last = 0  # metric of entries[-1]
-    anchor = (1, 0)
-    ceiling = ceiling_metric = None
+    scalings = Scalings(p * p)
     level = 1
     while level <= max_level:
         pair = minimiser(level)
@@ -186,14 +181,13 @@ def _records(
         metric = pair.height_mult_sq if mult else pair.height_sup
         val = pair.val.value
         if not pair.val.is_exact:
-            ceiling, ceiling_metric = val, metric
             if last == metric:
                 entries.pop()
-            break
+            return BestApproxChain(p, norm, tuple(entries), pair)
         if val < level:
             raise AssertionError("level minimizer certifies less than its level")
         if mult and entries:
-            required = _mult_required_valuation(p, anchor, metric)
+            required = scalings.reach(metric)
             if val < required:
                 # Levels up to ``val`` keep returning this pair and any pair
                 # with a larger product needs at least ``required``.
@@ -205,15 +199,16 @@ def _records(
             raise AssertionError("per-level minimum decreased")
         if metric == last:
             # Same metric but deeper valuation: the previous pair was not a
-            # record after all.
+            # record after all.  It stays admitted to ``scalings``, where
+            # its replacement beats it.
             entries[-1] = pair
         else:
             entries.append(pair)
             last = metric
         if mult:
-            anchor = _next_anchor(p, anchor, metric, val)
+            scalings.admit(metric, val)
         level = val + 1
-    return BestApproxChain(p, norm, max_level, tuple(entries), ceiling, ceiling_metric)
+    return BestApproxChain(p, norm, tuple(entries))
 
 
 def chain(xi: PAdicNumber, norm: str, max_level: int | None = None) -> BestApproxChain:
@@ -406,9 +401,17 @@ class UniformWitness:
     exponent: float
 
 
-def _witness_exponent(p: int, norm: str, valuation: int, bound: int) -> float:
+def _box_witness(
+    xi: PAdicNumber, norm: str, bound: int, key: tuple[int, int, int, bool, int]
+) -> UniformWitness:
+    """The witness of the box minimum keyed (-val, metric, |x|, x < 0, y)."""
+    neg_val, _, size, negative, y = key
+    val = -neg_val
+    pair = make_pair(xi, -size if negative else size, y)
+    if pair.val != Valuation.exact(val):
+        raise AssertionError("box minimum disagrees with the exact valuation")
     log_height = math.log(bound) / (2.0 if norm == NORM_MULT else 1.0)
-    return valuation * math.log(p) / log_height
+    return UniformWitness(norm, bound, val, pair, val * math.log(xi.p) / log_height)
 
 
 def uniform_minimum(
@@ -423,8 +426,8 @@ def uniform_minimum(
     ``|x * y|`` for the multiplicative norm.  The minimiser is either a
     chain entry or a p-power scaling of one, so the chain (computed on
     demand) answers the query without enumeration.  That needs the chain
-    to run to the full precision, and the box to stay below the censored
-    pair's metric: from there on the minimum is unknown.
+    to have met its censored pair, and the box to stay below that pair's
+    metric: from there on the minimum is unknown.
     """
     _require_norm(norm)
     if bound < 2:
@@ -433,52 +436,28 @@ def uniform_minimum(
         chain_ = chain(xi, norm)
     if chain_.norm != norm or chain_.p != xi.p:
         raise ValueError("chain does not match the requested norm and prime")
-    if chain_.max_level < xi.precision:
+    if chain_.censored is None:
         raise ValueError(
-            f"chain stops at level {chain_.max_level} below the precision "
-            f"{xi.precision}; deeper pairs of the box are unknown"
+            "chain met no censored pair: boxes past its last entry are unknown"
         )
-    if chain_.precision_ceiling is not None and (
-        chain_.ceiling_metric is None or bound >= chain_.ceiling_metric
-    ):
+    if bound >= _pair_metric(chain_.censored, norm):
         raise ValueError(
             "bound too large for this precision: the box holds a censored pair"
         )
     p = xi.p
-    mult = norm == NORM_MULT
-    base = p * p if mult else p
-    best_key = None
-    best: tuple[ApproxPair, int, int] | None = None
+    base = p * p if norm == NORM_MULT else p
+    keys = []
     for pair in chain_.entries:
         metric = _pair_metric(pair, norm)
         if metric > bound:
             break
         m = ilog(bound // metric, base)
-        val = pair.val.value + m
         scale = p**m
-        scaled_metric = metric * (scale * scale if mult else scale)
-        key = (
-            -val,
-            scaled_metric,
-            abs(pair.x) * scale,
-            0 if pair.x > 0 else 1,
-            pair.y * scale,
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (pair, m, val)
-    if best is None:
+        size, y = abs(pair.x) * scale, pair.y * scale
+        keys.append((-pair.val.value - m, metric * base**m, size, pair.x < 0, y))
+    if not keys:
         raise ValueError("bound lies below the first chain height")
-    pair, m, val = best
-    scale = p**m
-    witness_pair = make_pair(xi, pair.x * scale, pair.y * scale)
-    return UniformWitness(
-        norm=norm,
-        bound=bound,
-        valuation=val,
-        pair=witness_pair,
-        exponent=_witness_exponent(p, norm, val, bound),
-    )
+    return _box_witness(xi, norm, bound, min(keys))
 
 
 def uniform_minimum_enum(
@@ -543,18 +522,7 @@ def uniform_minimum_enum(
         box //= step
     if not keys:
         raise ValueError("no nonzero pair found inside the box")
-    neg_val, _, size, negative, y = min(keys)
-    val = -neg_val
-    witness_pair = make_pair(xi, -size if negative else size, y)
-    if witness_pair.val != Valuation.exact(val):
-        raise AssertionError("level search disagrees with the exact valuation")
-    return UniformWitness(
-        norm=norm,
-        bound=bound,
-        valuation=val,
-        pair=witness_pair,
-        exponent=_witness_exponent(p, norm, val, bound),
-    )
+    return _box_witness(xi, norm, bound, min(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -629,25 +597,24 @@ def chain_from_entries(
 
     Valuations must be nonnegative, and the exact entries must form a
     staircase in ``norm``: strictly increasing metrics and valuations, as
-    every chain has.  Consecutive exact entries must also agree with ``p``:
-    their determinant x_k y_(k+1) - x_(k+1) y_k equals
-    y_k(y_(k+1) xi - x_(k+1)) - y_(k+1)(y_k xi - x_k), so true valuations
-    make it a multiple of p^(v_k).  It is nonzero, because proportional
-    pairs with p not dividing y have the same valuation.
+    every chain has.  A censored last entry becomes the chain's ``censored``
+    pair; no other entry may be censored.  Consecutive exact entries must
+    also agree with ``p``: their determinant x_k y_(k+1) - x_(k+1) y_k
+    equals y_k(y_(k+1) xi - x_(k+1)) - y_(k+1)(y_k xi - x_k), so true
+    valuations make it a multiple of p^(v_k).  It is nonzero, because
+    proportional pairs with p not dividing y have the same valuation.
     """
     _require_norm(norm)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if any(e.val.value < 0 for e in entries):
         raise ValueError("chain entries must have nonnegative valuations")
-    max_level = entries[-1].val.value if entries else 1
-    ceiling = ceiling_metric = None
-    exact = entries
+    exact, censored = entries, None
     if entries and not entries[-1].val.is_exact:
-        ceiling = entries[-1].val.value
-        ceiling_metric = _pair_metric(entries[-1], norm)
-        exact = entries[:-1]
-    result = BestApproxChain(p, norm, max_level, exact, ceiling, ceiling_metric)
+        exact, censored = entries[:-1], entries[-1]
+    if not all(e.val.is_exact for e in exact):
+        raise ValueError("only the last chain entry may have a censored valuation")
+    result = BestApproxChain(p, norm, exact, censored)
     metrics = result.metrics()
     for k in range(1, len(exact)):
         if metrics[k] <= metrics[k - 1] or exact[k].val.value <= exact[k - 1].val.value:

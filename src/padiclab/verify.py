@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ApproxPair, ilog, pval
+from .core import ApproxPair, pval
 from .exponents import ExponentReport
-from .lattice import NORM_SUP, BestApproxChain
+from .lattice import NORM_SUP, BestApproxChain, Scalings
 
 GOLDEN_UNIFORM_BOUND = (5.0 + math.sqrt(5.0)) / 2.0
 
@@ -146,49 +146,47 @@ def _independent(a: ApproxPair, b: ApproxPair) -> bool:
 def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
     """No two independent pairs may both sit below the half-box threshold.
 
-    For linearly independent pairs with sup heights X_1, X_2 and valuations
-    v_1, v_2 it is impossible that p^{-v_i} < 1/(2 X_1 X_2) for both, i.e.
-    exact integers must satisfy 2 X_1 X_2 >= p^{min(v_1, v_2)}.  A pair is
-    judged through its lower-valuation member, whose slack only grows with
-    the partner's height.  So each pair's lightest independent partner among
-    those of at least its valuation stands for all the others: it fails
-    whenever one of them does, its slack is no larger, and on ties it comes
-    first in the all-pairs scan order (lighter partners sort first).  One
-    scan by decreasing valuation finds every such partner; probing them in
-    all-pairs order gives the verdict, margin and tightest pair of comparing
-    every pair, in at most n - 1 probes for n pairs.
+    Exact integers must satisfy 2 X_1 X_2 >= p^{min(v_1, v_2)} for linearly
+    independent pairs with sup heights X_i and valuations v_i: their
+    determinant is a nonzero multiple of p^{min(v_1, v_2)} and at most
+    2 X_1 X_2.  So any pairs whose valuations match their coordinates
+    pass, and the check catches only a wrong p or corrupted valuations.
+
+    A pair is judged through its lower-valuation member, whose slack only
+    grows with the partner's height, so each pair's lightest independent
+    partner among those of at least its valuation stands for all the
+    others.  One scan by decreasing valuation finds and scores every such
+    partner.  The least (slack, (i, j)) gives the verdict, margin and
+    tightest pair of comparing every pair (lighter partners sort first on
+    ties), in at most n - 1 probes for n pairs.
     """
     if len(pairs) < 2:
         return _skip("pair_independence", "fewer than two pairs")
     ordered = sorted(pairs, key=lambda pr: (pr.height_sup, pr.val.value))
+    log_p = math.log(p)
+    passed = True
+    worst: tuple[float, tuple[int, int]] | None = None
     # Visit pairs by decreasing valuation, keeping those seen in height
-    # order; the first independent one seen is the lightest partner.
+    # order; the first independent one seen is the lightest partner, and it
+    # is at least as deep.
     seen: list[int] = []
-    candidates: set[tuple[int, int]] = set()
     for i in sorted(range(len(ordered)), key=lambda k: -ordered[k].val.value):
+        a = ordered[i]
         for j in seen:
-            if _independent(ordered[i], ordered[j]):
-                candidates.add((min(i, j), max(i, j)))
+            if _independent(a, ordered[j]):
+                boxed = 2 * a.height_sup * ordered[j].height_sup
+                if boxed < p**a.val.value:
+                    passed = False
+                slack = math.log(boxed) / log_p - a.val.value
+                probe = (slack, (min(i, j), max(i, j)))
+                worst = probe if worst is None else min(worst, probe)
                 break
         bisect.insort(seen, i)
-    log_p = math.log(p)
-    worst: float | None = None
-    worst_at: tuple[int, int] | None = None
-    passed = True
-    for i, j in sorted(candidates):
-        a, b = ordered[i], ordered[j]
-        min_val = min(a.val.value, b.val.value)
-        boxed = 2 * a.height_sup * b.height_sup
-        if boxed < p**min_val:
-            passed = False
-        slack = math.log(boxed) / log_p - min_val
-        if worst is None or slack < worst:
-            worst = slack
-            worst_at = (i, j)
     inputs: dict = {"pairs": len(ordered)}
-    if worst_at is not None:
-        inputs["tightest"] = worst_at
-    return CheckResult("pair_independence", passed, worst, inputs)
+    margin = None
+    if worst is not None:
+        margin, inputs["tightest"] = worst
+    return CheckResult("pair_independence", passed, margin, inputs)
 
 
 def check_korollar(chain: BestApproxChain) -> CheckResult:
@@ -196,15 +194,17 @@ def check_korollar(chain: BestApproxChain) -> CheckResult:
 
     Lower side: successive records are independent coprime pairs whose
     determinant is a nonzero multiple of p^{v_k}, so p^{v_k} <= 2 H_k
-    H_{k+1} with the record's own valuation.  Upper side: the box of entry
-    k already certifies the valuation V_k reachable by p-power scalings of
-    earlier entries and by the axis pairs (0, p^m) (whose valuation floor,
-    the p-part of the number itself, is read off the entries as max_j
-    min(v_p(x_j), v_j)); a box pigeonhole then forces H_k H_{k+1} <= (p+1)
-    p^{V_k}.  Coprime records can sit far above the raw-valuation floor
-    when every short lattice vector is a scaling of an earlier record, so
-    the upper side genuinely needs V_k.  Both sides are compared as exact
-    integers.
+    H_{k+1}.  As for pair independence, any pairs whose valuations match
+    their coordinates pass, so this side catches only a wrong p or
+    corrupted valuations.  Upper side: the box of entry k already
+    certifies the valuation V_k that :class:`Scalings` reads off p-power
+    scalings of earlier entries and of the axis pairs (0, p^m) (whose
+    valuation floor, the p-part of the number itself, is read off the
+    entries as max_j min(v_p(x_j), v_j)); a box pigeonhole then forces
+    H_k H_{k+1} <= (p+1) p^{V_k}.  Coprime records can sit far above the
+    raw-valuation floor when every short lattice vector is a scaling of an
+    earlier record, so the upper side genuinely needs V_k.  Both sides are
+    compared as exact integers.
     """
     if chain.norm != NORM_SUP:
         raise ValueError("the height window applies to classical chains")
@@ -220,18 +220,13 @@ def check_korollar(chain: BestApproxChain) -> CheckResult:
             raise ValueError("censored valuation inside a chain")
     # Axis certificate: (0, p^m) has height p^m and valuation v_p(xi) + m;
     # entries bound v_p(xi) from below by min(v_p(x), v), exactly once the
-    # chain valuations outgrow it.
+    # chain valuations outgrow it.  Scalings start from that height-1 pair.
     xi_val = max(min(pval(e.x, p), e.val.value) for e in chain.entries)
-    # Best certificate seen so far (virtual height-1 axis entry included):
-    # the candidate minimising H / p^v.  Multiplying a pair by p^m adds m
-    # to the valuation and multiplies the height by p^m, so inside the box
-    # H_k the best candidate reaches v + ilog(H_k // H, p).
-    cert_h, cert_v = 1, xi_val
+    scalings = Scalings(p, xi_val)
     for k in range(len(chain.entries) - 1):
         a, b = chain.entries[k], chain.entries[k + 1]
-        if a.height_sup * p**cert_v < cert_h * p ** a.val.value:
-            cert_h, cert_v = a.height_sup, a.val.value
-        certified = cert_v + ilog(a.height_sup // cert_h, p)
+        scalings.admit(a.height_sup, a.val.value)
+        certified = scalings.reach(a.height_sup)
         power = p**certified
         boxed = a.height_sup * b.height_sup
         if not (p ** a.val.value <= 2 * boxed and boxed <= (p + 1) * power):

@@ -219,16 +219,15 @@ def pval(n: int, p: int) -> int:
     return v
 
 
-def mult_required_valuation(
-    p: int, accepted: list[tuple[int, int]], product: int
+def required_valuation(
+    base: int, accepted: list[tuple[int, int]], metric: int, start_val: int = 0
 ) -> int:
-    """Maximum of v_i + floor(log_{p^2}(product / P_i)) over every entry."""
-    required = ilog(product, p * p)
-    for prev_product, prev_val in accepted:
-        if prev_product <= product:
-            required = max(
-                required, prev_val + ilog(product // prev_product, p * p)
-            )
+    """Maximum of v + floor(log_base(metric / M)) over the start pair
+    (1, ``start_val``) and every accepted (M, v) with M <= metric."""
+    required = start_val + ilog(metric, base)
+    for prev_metric, prev_val in accepted:
+        if prev_metric <= metric:
+            required = max(required, prev_val + ilog(metric // prev_metric, base))
     return required
 
 
@@ -236,9 +235,10 @@ def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
     """Chain from the :func:`best_pair` minimisers of every level 1..max_level.
 
     A level whose minimiser is no deeper than the last entry adds nothing; a
-    product pair below :func:`mult_required_valuation` of the accepted pairs
-    is skipped; a deeper pair of the last entry's metric replaces it.  The
-    first censored pair ends the chain and drops a last entry of its metric.
+    product pair below the :func:`required_valuation` (base p^2) of the
+    accepted pairs is skipped; a deeper pair of the last entry's metric
+    replaces it.  The first censored pair ends the chain, which keeps it,
+    and drops a last entry of its metric.
     """
     mult = norm == "mult"
 
@@ -247,34 +247,27 @@ def crawl_chain(xi: PAdicNumber, norm: str, max_level: int) -> BestApproxChain:
 
     entries: list[ApproxPair] = []
     accepted: list[tuple[int, int]] = []
-    ceiling = ceiling_metric = None
+    censored = None
     for level in range(1, max_level + 1):
         modulus = xi.p**level
         pair = make_pair(xi, *best_pair(xi.p, modulus, xi.value % modulus, norm))
         val = pair.val.value
         if not pair.val.is_exact:
-            ceiling, ceiling_metric = val, metric(pair)
-            if entries and metric(entries[-1]) == ceiling_metric:
+            censored = pair
+            if entries and metric(entries[-1]) == metric(pair):
                 entries.pop()
             break
         if entries and val <= entries[-1].val.value:
             continue
         if mult and entries:
-            if val < mult_required_valuation(xi.p, accepted, metric(pair)):
+            if val < required_valuation(xi.p * xi.p, accepted, metric(pair)):
                 continue
         if entries and metric(entries[-1]) == metric(pair):
             entries.pop()
             accepted.pop()
         entries.append(pair)
         accepted.append((metric(pair), val))
-    return BestApproxChain(
-        p=xi.p,
-        norm=norm,
-        max_level=max_level,
-        entries=tuple(entries),
-        precision_ceiling=ceiling,
-        ceiling_metric=ceiling_metric,
-    )
+    return BestApproxChain(xi.p, norm, tuple(entries), censored)
 
 
 def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
@@ -378,8 +371,8 @@ def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
     """Sort every candidate by (metric, -valuation, tie key) and sweep once.
 
     The product norm's required valuation is the list scan above.  Returns
-    the entries, the censored pair's valuation and its metric (both None
-    when the box holds no censored pair before the sweep ends).
+    the entries and the censored pair (None when the box holds no censored
+    pair before the sweep ends).
     """
     mult = norm == "mult"
 
@@ -397,23 +390,23 @@ def _extract_staircase(p: int, norm: str, raw_pairs: list[ApproxPair]):
 
     entries: list[ApproxPair] = []
     accepted: list[tuple[int, int]] = []
-    ceiling = ceiling_metric = None
+    censored = None
     max_val = 0
     for pair in sorted(raw_pairs, key=sort_key):
         if not pair.val.is_exact:
-            ceiling, ceiling_metric = pair.val.value, metric(pair)
+            censored = pair
             break
         val = pair.val.value
         if val <= max_val:
             continue
         if mult:
             product = pair.height_mult_sq
-            if entries and val < mult_required_valuation(p, accepted, product):
+            if entries and val < required_valuation(p * p, accepted, product):
                 continue
             accepted.append((product, val))
         entries.append(pair)
         max_val = val
-    return tuple(entries), ceiling, ceiling_metric
+    return tuple(entries), censored
 
 
 def oracle_chain(xi, norm: str, bound: int) -> BestApproxChain:
@@ -427,15 +420,7 @@ def oracle_chain(xi, norm: str, bound: int) -> BestApproxChain:
             seen.update(_ladder_pairs(xi, y, bound // y))
         seen.update(_inverse_ladder_pairs(xi, bound, math.isqrt(bound)))
     raw = [make_pair(xi, x, y) for x, y in seen if math.gcd(x, y) == 1]
-    entries, ceiling, ceiling_metric = _extract_staircase(xi.p, norm, raw)
-    return BestApproxChain(
-        p=xi.p,
-        norm=norm,
-        max_level=xi.precision,
-        entries=entries,
-        precision_ceiling=ceiling,
-        ceiling_metric=ceiling_metric,
-    )
+    return BestApproxChain(xi.p, norm, *_extract_staircase(xi.p, norm, raw))
 
 
 def uniform_minimum_enum(xi, norm: str, bound: int) -> UniformWitness:

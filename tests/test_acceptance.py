@@ -80,14 +80,7 @@ def synthetic_pair(x: int, y: int, val: int) -> ApproxPair:
 
 
 def synthetic_sup_chain(rows: list[tuple[int, int, int]]) -> BestApproxChain:
-    entries = tuple(synthetic_pair(*row) for row in rows)
-    return BestApproxChain(
-        p=2,
-        norm=NORM_SUP,
-        max_level=rows[-1][2] + 1,
-        entries=entries,
-        precision_ceiling=rows[-1][2] + 1,
-    )
+    return BestApproxChain(2, NORM_SUP, tuple(synthetic_pair(*row) for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,13 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
         (("construct", "lacunary", "--p", "2", "--growth", "exp:2"), "unsupported growth"),
         (("construct", "lacunary", "--p", "2", "--growth", "pow:x"), "malformed growth"),
         (("construct", "lacunary", "--p", "2", "--growth", "pow:1"), "must exceed 1"),
+        (("construct", "lacunary", "--p", "2", "--growth", "pow:inf", "--terms", "3"),
+         "must exceed 1"),
+        (("construct", "lacunary", "--p", "2", "--growth", "pow:nan", "--terms", "3"),
+         "must exceed 1"),
+        (("construct", "lacunary", "--p", "2", "--growth", "pow:1e200", "--terms", "3"),
+         "overflows"),
+        (("sweep", "--p", "2", "--grid", "1e200"), "overflows"),
         (("construct", "schneider", "--p", "2", "--mu", "5/0", "--steps", "3"),
          "malformed exponent sequence"),
         (("construct", "schneider", "--p", "2", "--mu", "5/2,", "--steps", "3"),

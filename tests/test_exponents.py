@@ -32,13 +32,7 @@ def synthetic_chain(norm, rows, p=2):
     entries = tuple(
         ApproxPair(x=x, y=y, val=Valuation.exact(v)) for x, y, v in rows
     )
-    return BestApproxChain(
-        p=p,
-        norm=norm,
-        max_level=entries[-1].val.value,
-        entries=entries,
-        precision_ceiling=None,
-    )
+    return BestApproxChain(p, norm, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +242,10 @@ def test_cross_check_uniform_agrees():
             assert all(record["discrepancy"] <= 1e-9 for record in records)
             bounds = [record["bound"] for record in records]
             assert bounds == sorted(bounds)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_cross_check_uniform_refuses_fewer_than_one_sample(samples):
+    xi = seeded_xi(2, 18, 61)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        cross_check_uniform(xi, chain(xi, NORM_SUP), samples=samples)

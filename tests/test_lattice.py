@@ -36,7 +36,7 @@ from padiclab import (
     uniform_minimum_enum,
 )
 from padiclab import lattice
-from padiclab.lattice import _mult_required_valuation, _next_anchor
+from padiclab.lattice import Scalings
 from padiclab.walk import SupWalk, best_mult_pair, reduce_basis, sup_search
 from conftest import NON_STAIRCASES, seeded_xi, write_chain_csv
 
@@ -247,9 +247,7 @@ def test_dense_mult_chains_match_front_walk_reference(monkeypatch):
     monkeypatch.setattr(lattice, "best_mult_pair", reference.front_walk_mult_pair)
     for xi, result in zip(numbers, fast):
         slow = chain(xi, NORM_MULT)
-        assert result.entries == slow.entries
-        assert result.precision_ceiling == slow.precision_ceiling
-        assert result.ceiling_metric == slow.ceiling_metric
+        assert result == slow
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +260,7 @@ def test_chain_censors_rational_input():
     for norm in NORMS:
         result = chain(xi, norm)
         assert entry_triples(result) == [(-1, 1, 2)]
-        assert result.precision_limited
-        assert result.precision_ceiling == 10
+        assert result.censored == make_pair(xi, 1, 3)
 
 
 def test_chain_max_level_validation():
@@ -315,7 +312,7 @@ def test_mult_skip_still_visits_max_level():
     # pair there must still be found.
     xi = from_digits(2, [1, 1, 1, 1, 1, 1, 1, 0, 0])
     fast = chain(xi, NORM_MULT)
-    assert fast.precision_ceiling == 9
+    assert fast.censored.val.value == 9
     assert fast == reference.crawl_chain(xi, NORM_MULT, 9)
 
 
@@ -325,7 +322,7 @@ def test_censored_pair_displaces_same_height_record():
     xi = from_digits(2, [1, 1])
     result = chain(xi, NORM_SUP)
     assert entry_triples(result) == []
-    assert result.precision_ceiling == 2
+    assert result.censored == make_pair(xi, -1, 1)
     assert entry_triples(oracle_chain(xi, NORM_SUP, 4)) == []
     # xi = 2^12 * eta: the record (4096, 975) of valuation 24 meets the
     # censored (-4096, 3121) of the same sup height, so (2048, 1) ends it.
@@ -334,7 +331,7 @@ def test_censored_pair_displaces_same_height_record():
     assert result == oracle_chain(xi, NORM_SUP, 10**4)
     assert result == reference.crawl_chain(xi, NORM_SUP, 30)
     assert entry_triples(result)[-1][:2] == (2048, 1)
-    assert (result.precision_ceiling, result.ceiling_metric) == (30, 4096)
+    assert result.censored == make_pair(xi, -4096, 3121)
 
 
 @given(
@@ -356,8 +353,7 @@ def test_chain_matches_oracle_up_to_the_censored_pair(p, seed, norm):
     xi = from_digits(p, [0] * head + _random_digits(p, precision - head, seed))
     fast = chain(xi, norm)
     slow = oracle_chain(xi, norm, p**precision)
-    assert entry_triples(fast) == entry_triples(slow)
-    assert fast.precision_ceiling == slow.precision_ceiling
+    assert fast == slow
 
 
 def short_number(p, seed, max_modulus, min_digits=1):
@@ -436,7 +432,7 @@ def test_oracle_edge_cases_match_reference(p, digits, norm, bound):
     xi = from_digits(p, digits)
     fast = oracle_chain(xi, norm, bound)
     assert fast == reference.oracle_chain(xi, norm, bound)
-    assert fast.precision_ceiling == xi.precision
+    assert fast.censored.val.value == xi.precision
 
 
 def test_oracle_memory_stays_flat_at_high_valuation():
@@ -456,6 +452,8 @@ def test_oracle_memory_stays_flat_at_high_valuation():
 
 @given(
     p=st.sampled_from(PRIMES),
+    squared=st.booleans(),
+    start_val=st.integers(min_value=0, max_value=12),
     steps=st.lists(
         st.tuples(
             st.booleans(),
@@ -466,25 +464,31 @@ def test_oracle_memory_stays_flat_at_high_valuation():
         max_size=25,
     ),
 )
+@example(
+    p=2, squared=False, start_val=9, steps=[(False, 3, 1), (False, 2, 4), (True, 0, 6)]
+)
 @settings(max_examples=200)
-def test_required_valuation_anchor_matches_list_scan(p, steps):
-    """Accepted (product, valuation) pairs grow as in a chain; a step either
-    appends a pair or deepens the last one at the same product."""
+def test_required_valuation_anchor_matches_list_scan(p, squared, start_val, steps):
+    """:class:`Scalings` in base p^2 (product records) and base p (the sup
+    window, whose start valuation can lie above the first admitted ones).
+    Admitted (metric, valuation) pairs grow as in a chain; a step either
+    appends a pair or deepens the last one at the same metric."""
+    base = p * p if squared else p
+    scalings = Scalings(base, start_val)
     accepted: list[tuple[int, int]] = []
-    anchor = (1, 0)
-    product, val = 1, 0
+    metric, val = 1, 0
     for replace, growth, depth in steps:
         if not (replace and accepted):
-            product = product * p**growth + growth
+            metric = metric * p**growth + growth
         val += depth
         if replace and accepted:
-            accepted[-1] = (product, val)
+            accepted[-1] = (metric, val)
         else:
-            accepted.append((product, val))
-        anchor = _next_anchor(p, anchor, product, val)
-        for probe in (product, product + 1, product * p**3 + 5):
-            assert _mult_required_valuation(p, anchor, probe) == (
-                reference.mult_required_valuation(p, accepted, probe)
+            accepted.append((metric, val))
+        scalings.admit(metric, val)
+        for probe in (metric, metric + 1, metric * p**3 + 5):
+            assert scalings.reach(probe) == (
+                reference.required_valuation(base, accepted, probe, start_val)
             )
 
 
@@ -506,7 +510,23 @@ def test_chain_structural_invariants(p, seed, norm):
         assert entry.y % p != 0
         assert math.gcd(entry.x, entry.y) == 1
     if result.precision_limited:
-        assert result.precision_ceiling >= xi.precision
+        assert result.censored.val.value >= xi.precision
+
+
+@given(xi=padic_numbers(24), norm=st.sampled_from(NORMS))
+@settings(max_examples=60, deadline=None)
+def test_chains_keep_exact_entries_and_an_inexact_censored_pair(xi, norm):
+    full = chain(xi, norm)
+    tail = () if full.censored is None else (full.censored,)
+    loaded = chain_from_entries(xi.p, norm, full.entries + tail)
+    assert loaded == full
+    cut = chain(xi, norm, max(1, xi.precision // 2))
+    for result in (full, cut, oracle_chain(xi, norm, 300), loaded):
+        assert all(e.val.is_exact for e in result.entries)
+        assert result.censored is None or not result.censored.val.is_exact
+    if tail and full.entries:
+        with pytest.raises(ValueError, match="only the last"):
+            chain_from_entries(xi.p, norm, tail + full.entries)
 
 
 def test_lacunary_chain_entries(lacunary_xi, lacunary_chain_mult):
@@ -524,7 +544,7 @@ def test_lacunary_chain_entries(lacunary_xi, lacunary_chain_mult):
     for entry in tail:
         assert entry.y == 1
         assert entry.x == residue(lacunary_xi, entry.val.value)
-    assert lacunary_chain_mult.precision_ceiling == 6562
+    assert lacunary_chain_mult.censored.val.value == 6562
 
 
 def test_factorial_chain_entries(factorial_xi, factorial_chain_mult):
@@ -658,16 +678,51 @@ def test_uniform_minimum_refuses_cut_chains_and_censored_boxes():
     xi = from_digits(2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
     # Cut at level 4, the chain misses (1, 5) of valuation 5.
     assert uniform_minimum_enum(xi, NORM_SUP, 5).pair == make_pair(xi, 1, 5)
-    with pytest.raises(ValueError, match="below the precision"):
+    with pytest.raises(ValueError, match="no censored pair"):
         uniform_minimum(xi, NORM_SUP, 5, chain(xi, NORM_SUP, 4))
     # Both boxes hold the censored pair at which the full chain stops.
     for norm, bound in ((NORM_SUP, 40), (NORM_MULT, 2000)):
         full = chain(xi, norm)
-        assert full.ceiling_metric <= bound
+        assert censored_metric(full) <= bound
         with pytest.raises(ValueError, match="censored"):
             uniform_minimum(xi, norm, bound, full)
         with pytest.raises(ValueError, match="censored"):
             uniform_minimum_enum(xi, norm, bound)
+
+
+def censored_metric(chain_):
+    pair = chain_.censored
+    return pair.height_sup if chain_.norm == NORM_SUP else pair.height_mult_sq
+
+
+@pytest.mark.parametrize("norm, box", [(NORM_SUP, 40), (NORM_MULT, 400)])
+def test_uniform_minimum_refuses_an_oracle_chain_cut_at_its_box(norm, box):
+    """An oracle chain that stopped at its box knows nothing past it: the
+    scalings of its entries reach less deep than the box minimum."""
+    digits = [0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0]
+    xi = from_digits(2, digits)
+    cut = oracle_chain(xi, norm, box)
+    assert cut.censored is None
+    base = 4 if norm == NORM_MULT else 2
+    deepest = max(
+        e.val.value + ilog(5 * box // m, base) for e, m in zip(cut.entries, cut.metrics())
+    )
+    assert uniform_minimum_enum(xi, norm, 5 * box).valuation > deepest
+    with pytest.raises(ValueError, match="no censored pair"):
+        uniform_minimum(xi, norm, 5 * box, cut)
+
+
+@pytest.mark.parametrize("p, num, den", [(2, -5, 11), (3, 22, 7), (5, 13, 17)])
+@pytest.mark.parametrize("norm", NORMS)
+def test_cut_chain_that_met_its_censored_pair_answers_the_boxes_below(p, num, den, norm):
+    xi = from_rational(p, num, den, 30)
+    level = next(n for n in range(1, 31) if chain(xi, norm, n).censored is not None)
+    assert level < xi.precision
+    cut = chain(xi, norm, level)
+    for bound in range(2, censored_metric(cut)):
+        assert witness_or_error(uniform_minimum, xi, norm, bound, cut) == (
+            witness_or_error(uniform_minimum_enum, xi, norm, bound)
+        )
 
 
 def test_uniform_minimum_scaled_witness():
@@ -737,9 +792,9 @@ def test_chain_from_entries_splits_censored_tail(tmp_path):
         handle.write("1,3,1,10,false,3,3\n")
     entries = load_chain_entries(path.as_posix())
     rebuilt = chain_from_entries(2, NORM_SUP, entries)
-    assert len(rebuilt.entries) == 1
-    assert rebuilt.precision_ceiling == 10
-    assert rebuilt.ceiling_metric == 3
+    assert rebuilt.entries == result.entries
+    assert rebuilt.censored == entries[-1]
+    assert not rebuilt.censored.val.is_exact
 
 
 @pytest.mark.parametrize(
@@ -816,13 +871,16 @@ def test_library_rejects_out_of_range_bounds_and_foreign_chains():
 def test_chain_repr_past_the_str_limit():
     long_chain = chain(build_lacunary(LacunarySpec(2, lacunary_pow_exponents(4, 9))), NORM_SUP)
     text = repr(long_chain)
-    assert text.startswith("BestApproxChain(p=2, norm='sup', max_level=65537, entries=(")
-    assert f", ... {len(long_chain.entries) - 8} more), precision_ceiling=65537, " in text
-    assert text.endswith("ceiling_metric=<int of 49152 bits>)")
+    assert text.startswith("BestApproxChain(p=2, norm='sup', entries=(")
+    assert f", ... {len(long_chain.entries) - 8} more), censored=ApproxPair(" in text
+    assert text.endswith(
+        "y=<int of 49152 bits>, val=Valuation(value=65537, is_exact=False)))"
+    )
     xi = from_digits(2, [1, 0, 1, 1])
     pairs = (make_pair(xi, 1, 1), make_pair(xi, 3, 5))
-    short_chain = BestApproxChain(2, NORM_SUP, 4, pairs, 4, 21)
+    censored = make_pair(xi, -3, 1)
+    short_chain = BestApproxChain(2, NORM_SUP, pairs, censored)
     assert repr(short_chain) == (
-        f"BestApproxChain(p=2, norm='sup', max_level=4, entries=({pairs[0]!r}, {pairs[1]!r}), "
-        "precision_ceiling=4, ceiling_metric=21)"
+        f"BestApproxChain(p=2, norm='sup', entries=({pairs[0]!r}, {pairs[1]!r}), "
+        f"censored={censored!r})"
     )

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import padiclab
+import padiclab.cli
 
 # Every name in ``padiclab.__all__``, by the module that defines it: 67 in
 # all.  A new or dropped export shows up as a diff against this table.
@@ -98,14 +99,20 @@ def _workload_names() -> set[tuple[str, str]]:
     return names
 
 
-def test_names_the_benchmark_reaches_resolve(monkeypatch):
-    """The benchmark's tracer wraps its targets by name, and its workloads
-    call padiclab through the module objects, so a deleted or renamed name
-    would break only a benchmark run.  The benchmark's files are only read."""
+def _benchmark_tracer(monkeypatch) -> types.ModuleType:
+    """The benchmark's tracer module, read from its file (never written)."""
     tracer = types.ModuleType("padicbench_tracer")
     monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
     source = (BENCH / "tracer.py").read_text(encoding="utf-8")
     exec(compile(source, str(BENCH / "tracer.py"), "exec"), vars(tracer))
+    return tracer
+
+
+def test_names_the_benchmark_reaches_resolve(monkeypatch):
+    """The benchmark's tracer wraps its targets by name, and its workloads
+    call padiclab through the module objects, so a deleted or renamed name
+    would break only a benchmark run.  The benchmark's files are only read."""
+    tracer = _benchmark_tracer(monkeypatch)
     reached = {(target.module, target.func) for target in tracer.padiclab_targets()}
     reached |= _workload_names()
     missing = sorted(
@@ -114,6 +121,44 @@ def test_names_the_benchmark_reaches_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"padiclab.{module}"), name)
     )
     assert missing == []
+
+
+def test_traced_pipeline_records_every_counted_target(monkeypatch, tmp_path, capsys):
+    """A traced construct -> approx -> estimate -> verify run, plus the oracle
+    and pair independence: every target whose span carries counters (the
+    fields and results its ``attrs`` hook reads) records one, and no hook
+    raises.  A renamed field that only the traced benchmark reads fails here."""
+    tracer_module = _benchmark_tracer(monkeypatch)
+    targets = tracer_module.padiclab_targets()
+    tracer = tracer_module.Tracer()
+    files = {name: str(tmp_path / name) for name in ("xi.json", "sup.csv", "mult.csv")}
+    report = str(tmp_path / "report.json")
+    tracer.install(padiclab, targets)
+    try:
+        for argv in (
+            ["construct", "rule", "--p", "2", "--rule", "random", "--precision", "64",
+             "--seed", "1", "-o", files["xi.json"]],
+            ["approx", "--xi", files["xi.json"], "--norm", "sup", "-o", files["sup.csv"]],
+            ["approx", "--xi", files["xi.json"], "--norm", "mult", "-o", files["mult.csv"]],
+            ["estimate", "--chain", files["mult.csv"], "--chain-sup", files["sup.csv"],
+             "--p", "2", "--norm", "mult", "-o", report],
+            ["verify", "--report", report, "--chain", files["sup.csv"], "--p", "2"],
+        ):
+            assert padiclab.cli.main(argv) == 0, argv
+        xi = padiclab.load_digit_file(files["xi.json"])
+        padiclab.lattice.oracle_chain(xi, "mult", 2000)
+        padiclab.verify.check_padicle(padiclab.lattice.chain(xi, "sup").entries, 2)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counted = {target.name for target in targets if target.attrs is not None}
+    recorded = {
+        name
+        for name in counted
+        for span in tracer.spans
+        if span.name.startswith(name) and span.attrs
+    }
+    assert recorded == counted
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,8 @@ def pair(x, y, val, exact=True):
     )
 
 
-def synthetic_chain(norm, pairs, p=2, ceiling=None):
-    return BestApproxChain(
-        p=p,
-        norm=norm,
-        max_level=pairs[-1].val.value,
-        entries=tuple(pairs),
-        precision_ceiling=ceiling,
-    )
+def synthetic_chain(norm, pairs, p=2):
+    return BestApproxChain(p, norm, tuple(pairs))
 
 
 def by_name(results):
