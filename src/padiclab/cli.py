@@ -199,7 +199,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         )
         if args.ledger:
             schneider_ledger_csv(state, args.ledger)
-    elif args.kind == "surgery":
+    else:  # surgery
         witness = build_ratio_witness(
             args.p,
             Fraction(args.t),
@@ -209,8 +209,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             num_spikes=args.spikes,
         )
         xi = witness.xi
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown construct kind {args.kind!r}")
     save_digit_file(xi, args.out)
     print(f"wrote {xi.precision} base-{xi.p} digits to {args.out}")
     return 0

@@ -136,6 +136,8 @@ def build_digit_rule(p: int, rule: str, precision: int, seed: int = 0) -> PAdicN
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
+    if precision > _MAX_DIGITS:
+        raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
     if rule == "thue-morse":
         digits = [thue_morse_bit(i) for i in range(precision)]
     elif rule == "random":
@@ -277,7 +279,8 @@ def schneider_exponent_driven(
     because the seed pair has height 1 and admits no positive selection.
 
     A trailing block is selected for the last pair (so its ledger valuation
-    is known), then the limit is materialized at exactly that precision.
+    is known), then the limit is materialized at exactly that precision;
+    a selection that takes it past the digit cap raises at once.
     The sequence may be a scalar (constant target) or a list whose last
     entry repeats; every used entry must be >= 2 + _EPSILON = 5/2.
 
@@ -290,16 +293,20 @@ def schneider_exponent_driven(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     state = schneider_step(schneider_initial(p), 1, None)  # bootstrap block
+    precision = 1  # the sum of every block exponent selected so far
     for n in range(1, steps + 1):
         mu_n = _mu_at(mu_seq, n - 1)
         if mu_n < 2 + _EPSILON:
             raise ValueError(f"target exponent {mu_n} below 2 + {_EPSILON}")
         g = _next_block(state, mu_n)
+        precision += g
+        if precision > _MAX_DIGITS:
+            raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
         if n < steps:
             state = schneider_step(state, g, mu_n)
     state = replace(state, trailing_g=g, trailing_mu=mu_n)
     num, den = state.pair(state.n_last)
-    xi = from_rational(p, num, den, state.ledger_valuation(state.n_last))
+    xi = from_rational(p, num, den, precision)
     return state, xi
 
 
@@ -444,7 +451,7 @@ def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
 
 def surgery_pairs(
     xi: PAdicNumber,
-    source_pairs: Sequence[ApproxPair | tuple[int, int]],
+    source_pairs: Sequence[ApproxPair],
     partials: Sequence[int],
 ) -> list[ApproxPair]:
     """Transplant approximations of the source number onto the edited one.
@@ -458,11 +465,10 @@ def surgery_pairs(
             f"{len(source_pairs)} pairs need {len(source_pairs)} partial sums, "
             f"got {len(partials)}"
         )
-    out = []
-    for j, pair in enumerate(source_pairs):
-        x0, x1 = (pair.x, pair.y) if isinstance(pair, ApproxPair) else pair
-        out.append(make_pair(xi, x0 - partials[j] * x1, x1))
-    return out
+    return [
+        make_pair(xi, pair.x - partials[j] * pair.y, pair.y)
+        for j, pair in enumerate(source_pairs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -523,34 +529,30 @@ def build_ratio_witness(
         raise ValueError(f"spike target {tilde} below 2 + {_EPSILON}")
     c_offset = -(-tilde.numerator // tilde.denominator) + 1 + _C_MARGIN  # ceil(t*mu)+1+3
 
+    # Filler blocks until each spike's height is reached, then until the
+    # source covers two digits past the last interval end.
     state = schneider_step(schneider_initial(p), 1, None)
     spike_indices: list[int] = []
     sigmas: list[int] = []
-    target = sigma1_target
-    while len(spike_indices) < num_spikes:
+    target, needed, precision = sigma1_target, 0, 1
+    while len(sigmas) < num_spikes or precision < needed:
         n = state.n_last
-        log_h = ilog(state.height(n), p)
-        if log_h >= target:
+        if len(sigmas) < num_spikes and (log_h := ilog(state.height(n), p)) >= target:
             state = schneider_step(state, _next_block(state, tilde), tilde)
             spike_indices.append(n)
             sigmas.append(log_h)
-            nu = int(tilde * log_h) + c_offset
-            tau = int(mu * nu)
-            target = gap_multiplier * tau + 20
+            tau = int(mu * (int(tilde * log_h) + c_offset))
+            target, needed = gap_multiplier * tau + 20, tau + 2
         else:
             state = schneider_step(state, _next_block(state, filler), filler)
-        if state.block_sum(state.n_last) > _WITNESS_MAX_DIGITS:
-            raise ValueError("digit cap exceeded while placing spikes")
+        precision = state.block_sum(state.n_last)
+        if precision > _WITNESS_MAX_DIGITS:
+            raise ValueError(
+                f"precision {precision} exceeds digit cap {_WITNESS_MAX_DIGITS}"
+            )
 
     spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
-    needed = spec.taus[-1] + 2
-    while state.block_sum(state.n_last) < needed:
-        state = schneider_step(state, _next_block(state, filler), filler)
-        if state.block_sum(state.n_last) > _WITNESS_MAX_DIGITS:
-            raise ValueError("digit cap exceeded while extending the source")
-
     num, den = state.pair(state.n_last)
-    precision = state.block_sum(state.n_last)
     zeta = from_rational(p, num, den, precision)
 
     result = surgery_transform(zeta, spec)

@@ -236,9 +236,6 @@ class Valuation:
     def at_least(cls, value: int) -> "Valuation":
         return cls(value, False)
 
-    def __str__(self) -> str:
-        return str(self.value) if self.is_exact else f">={self.value}"
-
 
 @dataclass(frozen=True)
 class PAdicNumber:

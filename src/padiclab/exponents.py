@@ -29,17 +29,6 @@ from .lattice import (
 )
 from .core import PAdicNumber
 
-REPORT_FIELDS = (
-    "mu",
-    "mu_times",
-    "hat_mu",
-    "hat_mu_times",
-    "burn_in",
-    "precision_limited",
-    "pointwise",
-)
-
-
 @dataclass(frozen=True)
 class PointwiseExponent:
     """Per-entry exponent data; ``uniform_term`` is None on the last entry."""
@@ -131,6 +120,9 @@ class ExponentReport:
     pointwise: tuple[PointwiseExponent, ...]
 
 
+REPORT_FIELDS = tuple(f.name for f in fields(ExponentReport))
+
+
 def build_report(
     chain_sup: BestApproxChain | None = None,
     chain_mult: BestApproxChain | None = None,
@@ -164,15 +156,9 @@ def build_report(
 
 
 def report_to_dict(report: ExponentReport) -> dict:
-    return {
-        "mu": report.mu,
-        "mu_times": report.mu_times,
-        "hat_mu": report.hat_mu,
-        "hat_mu_times": report.hat_mu_times,
-        "burn_in": report.burn_in,
-        "precision_limited": report.precision_limited,
-        "pointwise": [dict(vars(row)) for row in report.pointwise],
-    }
+    data = {name: getattr(report, name) for name in REPORT_FIELDS}
+    data["pointwise"] = [dict(vars(row)) for row in report.pointwise]
+    return data
 
 
 def save_report(report: ExponentReport, path: str) -> None:
@@ -269,7 +255,7 @@ def cross_check_uniform(
         bound = metrics[k + 1] - 1
         if bound < 2:
             continue
-        fast = uniform_minimum(xi, chain_.norm, bound, chain_)
+        fast = uniform_minimum(xi, chain_, bound)
         slow = uniform_minimum_enum(xi, chain_.norm, bound)
         discrepancy = abs(fast.exponent - slow.exponent)
         records.append(

@@ -28,7 +28,6 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 from .core import (
     ApproxPair,
@@ -105,20 +104,6 @@ class BestApproxChain:
             f"BestApproxChain(p={self.p}, norm={self.norm!r}, entries=({shown}), "
             f"censored={self.censored!r})"
         )
-
-
-def _check_level(xi: PAdicNumber, level: int) -> None:
-    if not 1 <= level <= xi.precision:
-        raise ValueError(
-            f"level must be in [1, {xi.precision}] for this truncation, got {level}"
-        )
-
-
-def best_mult_at_level(xi: PAdicNumber, level: int) -> ApproxPair:
-    """Smallest product coprime pair with valuation at least ``level``."""
-    _check_level(xi, level)
-    x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
-    return make_pair(xi, x, y)
 
 
 class Scalings:
@@ -222,14 +207,22 @@ def chain(xi: PAdicNumber, norm: str, max_level: int | None = None) -> BestAppro
     _require_norm(norm)
     if max_level is None:
         max_level = xi.precision
-    _check_level(xi, max_level)
+    if not 1 <= max_level <= xi.precision:
+        raise ValueError(
+            f"level must be in [1, {xi.precision}] for this truncation, got {max_level}"
+        )
     if norm == NORM_MULT:
-        return _records(xi.p, norm, max_level, partial(best_mult_at_level, xi))
-    walk = SupWalk(xi)
 
-    def minimiser(level: int) -> ApproxPair:
-        walk.advance(level)
-        return walk.best_pair()
+        def minimiser(level: int) -> ApproxPair:
+            x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
+            return make_pair(xi, x, y)
+
+    else:
+        walk = SupWalk(xi)
+
+        def minimiser(level: int) -> ApproxPair:
+            walk.advance(level)
+            return walk.best_pair()
 
     return _records(xi.p, norm, max_level, minimiser)
 
@@ -415,27 +408,22 @@ def _box_witness(
 
 
 def uniform_minimum(
-    xi: PAdicNumber,
-    norm: str,
-    bound: int,
-    chain_: BestApproxChain | None = None,
+    xi: PAdicNumber, chain_: BestApproxChain, bound: int
 ) -> UniformWitness:
     """Exact minimum of |y*xi - x|_p over the box of size ``bound``.
 
-    ``bound`` caps ``max(|x|, |y|)`` for the classical norm and the product
-    ``|x * y|`` for the multiplicative norm.  The minimiser is either a
-    chain entry or a p-power scaling of one, so the chain (computed on
-    demand) answers the query without enumeration.  That needs the chain
-    to have met its censored pair, and the box to stay below that pair's
-    metric: from there on the minimum is unknown.
+    ``bound`` caps ``max(|x|, |y|)`` for the chain's classical norm and the
+    product ``|x * y|`` for its multiplicative norm.  The minimiser is
+    either a chain entry or a p-power scaling of one, so the chain answers
+    the query without enumeration.  That needs the chain to have met its
+    censored pair, and the box to stay below that pair's metric: from there
+    on the minimum is unknown.
     """
-    _require_norm(norm)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    if chain_ is None:
-        chain_ = chain(xi, norm)
-    if chain_.norm != norm or chain_.p != xi.p:
-        raise ValueError("chain does not match the requested norm and prime")
+    if chain_.p != xi.p:
+        raise ValueError("chain does not match the prime of the number")
+    norm = chain_.norm
     if chain_.censored is None:
         raise ValueError(
             "chain met no censored pair: boxes past its last entry are unknown"

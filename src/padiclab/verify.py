@@ -5,8 +5,9 @@ when a check is skipped (missing estimate, undefined bound), ``margin`` is
 the untoleranced slack of the tightest instance (positive means satisfied
 with room), and ``inputs`` records small scalars that identify the
 tightest instance.  Inequality checks on exponent estimates use a float
-tolerance; the two finite structural checks (pair independence and the
-successive-height window) compare exact integers.
+tolerance, which must be finite and nonnegative; the two finite structural
+checks (pair independence and the successive-height window) compare exact
+integers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def _skip(name: str, note: str) -> CheckResult:
     return CheckResult(name=name, passed=None, margin=None, inputs={}, note=note)
 
 
+def _require_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def _at_most(
     name: str, value: float, bound: float, tol: float, inputs: dict
 ) -> CheckResult:
@@ -56,6 +62,7 @@ def check_chain_bounds(report: ExponentReport, tol: float = 0.05) -> list[CheckR
     mu >= 2, mu <= mu_times <= 2 mu, hat_mu = 2 (within tol) and
     hat_mu_times <= 4.  Checks whose inputs are missing are skipped.
     """
+    _require_tol(tol)
     results: list[CheckResult] = []
     mu, mu_x = report.mu, report.mu_times
     hat, hat_x = report.hat_mu, report.hat_mu_times
@@ -92,6 +99,7 @@ def check_endlich(report: ExponentReport, tol: float = 0.05) -> list[CheckResult
     mu_times >= hat_mu_times^2 - 3 hat_mu_times + 3, and
     hat_mu_times <= (5 + sqrt 5)/2.
     """
+    _require_tol(tol)
     names = ("uniform_from_pointwise", "pointwise_from_uniform", "uniform_golden_bound")
     mu_x, hat_x = report.mu_times, report.hat_mu_times
     if mu_x is None or hat_x is None:
@@ -116,8 +124,11 @@ def check_lacunary_sandwich(
 
     Expected: 3 - 1/c <= hat_mu_times <= 3 + 1/(d - 1), requiring d > 1.
     """
-    if not c > 0 or not d > 1:
-        raise ValueError(f"gap ratios must satisfy c > 0 and d > 1, got {c}, {d}")
+    _require_tol(tol)
+    if not 0 < c < math.inf or not 1 < d < math.inf:
+        raise ValueError(
+            f"gap ratios must be finite with c > 0 and d > 1, got {c}, {d}"
+        )
     hat_x = report.hat_mu_times
     if hat_x is None:
         return _skip("lacunary_sandwich", "no multiplicative estimate")
@@ -253,6 +264,7 @@ def check_surgery_pointwise(witness, tol: float = 0.1) -> list[CheckResult]:
     design ``mu``; transplanted pairs must reach multiplicative exponent
     close to ``t * mu`` (both within relative tolerance ``tol``).
     """
+    _require_tol(tol)
     log_p = math.log(witness.p)
     # (name prefix, pairs, target, exponent scale, height, censoring message)
     families = (

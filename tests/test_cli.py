@@ -11,6 +11,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -242,6 +243,67 @@ def test_rerun_writes_byte_identical_artifacts(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# One pass over every subcommand: (argv, files it writes), "{dir}" standing
+# for the working directory.
+PINNED_RUNS = (
+    (("construct", "lacunary", "--p", "2", "--growth", "pow:3", "--terms", "8",
+      "-o", "{dir}/lac.json"), ("lac.json",)),
+    (("construct", "rule", "--p", "3", "--rule", "random", "--precision", "256",
+      "--seed", "7", "-o", "{dir}/rule.json"), ("rule.json",)),
+    (("construct", "factorial", "--p", "2", "--terms", "6", "-o", "{dir}/fac.json"),
+     ("fac.json",)),
+    (("construct", "schneider", "--p", "2", "--mu", "5/2", "--steps", "10",
+      "--ledger", "{dir}/ledger.csv", "-o", "{dir}/sch.json"),
+     ("sch.json", "ledger.csv")),
+    (("construct", "surgery", "--p", "2", "--t", "3/2", "--mu", "6", "--spikes", "1",
+      "--sigma1", "5", "--gap-multiplier", "4", "-o", "{dir}/sur.json"),
+     ("sur.json",)),
+    (("approx", "--xi", "{dir}/lac.json", "--norm", "sup", "-o", "{dir}/sup.csv"),
+     ("sup.csv",)),
+    (("approx", "--xi", "{dir}/lac.json", "--norm", "mult", "-o", "{dir}/mult.csv"),
+     ("mult.csv",)),
+    (("approx", "--xi", "{dir}/rule.json", "--norm", "mult",
+      "-o", "{dir}/rule_mult.csv"), ("rule_mult.csv",)),
+    (("approx", "--xi", "{dir}/rule.json", "--norm", "mult", "--oracle", "200000",
+      "-o", "{dir}/oracle.csv"), ("oracle.csv",)),
+    (("estimate", "--chain", "{dir}/mult.csv", "--p", "2", "--norm", "mult",
+      "--chain-sup", "{dir}/sup.csv", "-o", "{dir}/report.json"), ("report.json",)),
+    (("verify", "--report", "{dir}/report.json", "--chain", "{dir}/sup.csv",
+      "--p", "2", "--lacunary-c", "3", "--lacunary-d", "3",
+      "-o", "{dir}/checks.json"), ("checks.json",)),
+    (("sweep", "--p", "2", "--grid", "2.5,3", "--terms", "7",
+      "-o", "{dir}/sweep.csv"), ("sweep.csv",)),
+)
+
+# Exit code of each run above and SHA-256 of each file it writes.  A change
+# that alters an output on purpose updates these pins.
+PINNED_OUTPUTS = {
+    "exit_codes": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    "lac.json": "8c3cf47a26d2cc81abaa425a8ee8c2bd5d0509dd085aed0c2c0793f5fccb811a",
+    "rule.json": "f1a75ce5e4f95be6ad160d6a364fe2d89fef4c4b9e6dcddf60822e6df88d9eac",
+    "fac.json": "4b0b14c57c99488ab2b4cbf1c16a830664f4baadea7703586fa3a45170f9211c",
+    "sch.json": "0b6557d4858a34b2ed301ca344654573cabb544d1175a548acac99c62a9ddfae",
+    "ledger.csv": "992b61ad23e4077a023dd1d47f6aba985af2c4528dddac95b0de92320b9b9bc0",
+    "sur.json": "a28bc8036fd2e5b93a236b6e935689b310cf0315b522a23cbdccea446fb5c3f4",
+    "sup.csv": "74b8715b5454f558e209f0a099b103db7b6dd6d5664293fb528dc6467c4a1ec9",
+    "mult.csv": "60ad8138abaf985c168071207aaf8d1e128e6f2953b032d44714c334093a8678",
+    "rule_mult.csv": "cd628900f26d5bac4bc3aa7eba429fb414a178c2be5ebbcbe1ba1d4350aed5dd",
+    "oracle.csv": "94fe71044fa06bdf885df16e6cea7293c3768805ad305e44ddcf51d661142f50",
+    "report.json": "e46f042d4eec1f5c3d3378d97ba36267b3b9f1222821dadf148c046de2a2e014",
+    "checks.json": "61991390bca0e2a9654eb69152d60f8871629a98216904135cdd9c533bb38cc9",
+    "sweep.csv": "7cba2d18239f54c56c34fc25b9462955f9f93a04c0f88e2201627a90a81cc95a",
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    codes, digests = [], {}
+    for argv, written in PINNED_RUNS:
+        codes.append(run_cli(*(arg.format(dir=tmp_path) for arg in argv)))
+        for name in written:
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert {"exit_codes": codes, **digests} == PINNED_OUTPUTS
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------
@@ -347,13 +409,22 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
          "p must be prime"),
         (("verify", "--report", "{chain}", "--checks", ""), "selects no check"),
         (("verify", "--report", "{chain}", "--checks", ","), "selects no check"),
+        (("verify", "--report", "{report}", "--tol", "nan"), "tolerance must be"),
+        (("verify", "--report", "{report}", "--tol", "-1"), "tolerance must be"),
+        (("verify", "--report", "{report}", "--tol", "inf"), "tolerance must be"),
+        (("verify", "--report", "{report}", "--lacunary-c", "inf",
+          "--lacunary-d", "3"), "gap ratios must be finite"),
     ],
 )
 def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
     chain_csv = tmp_path / "chain.csv"
     write_chain_csv(chain_csv, ((3, 1, 1), (5, 1, 2), (13, 1, 3)))
+    report_json = tmp_path / "report.json"
+    save_report(
+        padiclab.ExponentReport(3.0, 6.0, 2.0, 3.0, 2, False, ()), report_json
+    )
     out = tmp_path / "out"
-    argv = [arg.format(chain=chain_csv) for arg in argv]
+    argv = [arg.format(chain=chain_csv, report=report_json) for arg in argv]
     assert run_cli(*argv, "-o", str(out)) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()

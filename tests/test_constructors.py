@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,19 @@ def test_build_digit_rule_validation():
         build_digit_rule(2, "no-such-rule", 10)
     with pytest.raises(ValueError):
         build_digit_rule(2, "random", 0)
+
+
+@pytest.mark.parametrize("rule", ["thue-morse", "random"])
+def test_build_digit_rule_respects_digit_cap(rule):
+    # One digit past the cap is refused before the digit list is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="digit cap"):
+            build_digit_rule(2, rule, 1_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,17 @@ def test_exponent_driven_validation():
         schneider_exponent_driven(2, Fraction(5, 2), 0)
     with pytest.raises(ValueError):
         schneider_exponent_driven(2, Fraction(2), 5)  # below 5/2
+
+
+def test_exponent_driven_respects_digit_cap():
+    # At target 1100 the first driven block gives 1,100 digits and the
+    # second would give 1,208,900: refused before the limit is built, both
+    # as the trailing selection (2 steps) and as a driven one (40 steps).
+    _, xi = schneider_exponent_driven(2, Fraction(1100), 1)
+    assert xi.precision == 1100
+    for steps in (2, 40):
+        with pytest.raises(ValueError, match="precision 1208900 exceeds digit cap"):
+            schneider_exponent_driven(2, Fraction(1100), steps)
 
 
 @pytest.mark.parametrize(
@@ -337,11 +362,11 @@ def test_surgery_transform_validates_precision():
 
 def test_surgery_pairs_translation():
     xi = from_digits(2, [1, 0, 1, 1, 0, 1])
-    pairs = surgery_pairs(xi, [(5, 2), (7, 3)], [0, 8])
-    assert (pairs[0].x, pairs[0].y) == (5, 2)
-    assert (pairs[1].x, pairs[1].y) == (7 - 8 * 3, 3)
+    source = [make_pair(xi, 5, 2), make_pair(xi, 7, 3)]
+    pairs = surgery_pairs(xi, source, [0, 8])
+    assert pairs == [make_pair(xi, 5, 2), make_pair(xi, 7 - 8 * 3, 3)]
     with pytest.raises(ValueError):
-        surgery_pairs(xi, [(5, 2), (7, 3)], [0])
+        surgery_pairs(xi, source, [0])
 
 
 def test_ratio_witness_small():

@@ -20,7 +20,6 @@ from padiclab import (
     build_digit_rule,
     build_lacunary,
     lacunary_pow_exponents,
-    best_mult_at_level,
     chain,
     chain_from_entries,
     from_digits,
@@ -76,6 +75,11 @@ def sup_at_level(xi, level):
     return walk.best_pair()
 
 
+def mult_at_level(xi, level):
+    x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
+    return make_pair(xi, x, y)
+
+
 def test_best_pair_small_example():
     xi = from_digits(2, [1, 1, 0, 1, 0, 0])  # residue 11 mod 64
     pair = sup_at_level(xi, 4)
@@ -88,16 +92,16 @@ def test_best_pair_zero_residue():
     xi = from_digits(5, [0, 0, 1, 3])
     pair = sup_at_level(xi, 2)
     assert (pair.x, pair.y) == (25, 1)
-    pair = best_mult_at_level(xi, 1)
+    pair = mult_at_level(xi, 1)
     assert (pair.x, pair.y) == (5, 1)
 
 
 def test_best_pair_level_validation():
     xi = from_digits(2, [1, 1])
     with pytest.raises(ValueError):
-        best_mult_at_level(xi, 0)
+        chain(xi, NORM_MULT, 0)
     with pytest.raises(ValueError):
-        best_mult_at_level(xi, 3)
+        chain(xi, NORM_MULT, 3)
 
 
 def test_best_pair_beats_exhaustive_scan():
@@ -122,7 +126,7 @@ def test_best_pair_beats_exhaustive_scan():
                         if best[norm] is None or metric < best[norm]:
                             best[norm] = metric
             sup = sup_at_level(xi, level)
-            mult = best_mult_at_level(xi, level)
+            mult = mult_at_level(xi, level)
             assert sup.height_sup == best[NORM_SUP]
             assert mult.height_mult_sq == best[NORM_MULT]
 
@@ -140,7 +144,7 @@ def test_level_minimisers_match_reference_walk(xi):
         sup = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_SUP))
         mult = make_pair(xi, *reference.best_pair(p, modulus, r, NORM_MULT))
         assert walk.best_pair() == sup
-        assert best_mult_at_level(xi, level) == mult
+        assert mult_at_level(xi, level) == mult
 
 
 # Form value of (r, 1): any integer is the form of some xi = r (mod p^v), and
@@ -571,7 +575,7 @@ def test_uniform_minimum_agrees_with_enumeration():
             for bound in (max(2, first), max(2, first) + 5, 60, 500):
                 if bound < first:
                     continue
-                fast = uniform_minimum(xi, norm, bound, chain_)
+                fast = uniform_minimum(xi, chain_, bound)
                 slow = uniform_minimum_enum(xi, norm, bound)
                 assert fast.valuation == slow.valuation
                 assert (fast.pair.x, fast.pair.y) == (slow.pair.x, slow.pair.y)
@@ -669,7 +673,7 @@ def test_uniform_minimum_matches_enumeration_at_every_bound(p, seed, norm):
     xi = short_number(p, seed, 128)
     chain_ = chain(xi, norm)
     for bound in range(2, xi.p**xi.precision + 1):
-        assert witness_or_error(uniform_minimum, xi, norm, bound, chain_) == (
+        assert witness_or_error(uniform_minimum, xi, chain_, bound) == (
             witness_or_error(uniform_minimum_enum, xi, norm, bound)
         )
 
@@ -679,13 +683,13 @@ def test_uniform_minimum_refuses_cut_chains_and_censored_boxes():
     # Cut at level 4, the chain misses (1, 5) of valuation 5.
     assert uniform_minimum_enum(xi, NORM_SUP, 5).pair == make_pair(xi, 1, 5)
     with pytest.raises(ValueError, match="no censored pair"):
-        uniform_minimum(xi, NORM_SUP, 5, chain(xi, NORM_SUP, 4))
+        uniform_minimum(xi, chain(xi, NORM_SUP, 4), 5)
     # Both boxes hold the censored pair at which the full chain stops.
     for norm, bound in ((NORM_SUP, 40), (NORM_MULT, 2000)):
         full = chain(xi, norm)
         assert censored_metric(full) <= bound
         with pytest.raises(ValueError, match="censored"):
-            uniform_minimum(xi, norm, bound, full)
+            uniform_minimum(xi, full, bound)
         with pytest.raises(ValueError, match="censored"):
             uniform_minimum_enum(xi, norm, bound)
 
@@ -709,7 +713,7 @@ def test_uniform_minimum_refuses_an_oracle_chain_cut_at_its_box(norm, box):
     )
     assert uniform_minimum_enum(xi, norm, 5 * box).valuation > deepest
     with pytest.raises(ValueError, match="no censored pair"):
-        uniform_minimum(xi, norm, 5 * box, cut)
+        uniform_minimum(xi, cut, 5 * box)
 
 
 @pytest.mark.parametrize("p, num, den", [(2, -5, 11), (3, 22, 7), (5, 13, 17)])
@@ -720,7 +724,7 @@ def test_cut_chain_that_met_its_censored_pair_answers_the_boxes_below(p, num, de
     assert level < xi.precision
     cut = chain(xi, norm, level)
     for bound in range(2, censored_metric(cut)):
-        assert witness_or_error(uniform_minimum, xi, norm, bound, cut) == (
+        assert witness_or_error(uniform_minimum, xi, cut, bound) == (
             witness_or_error(uniform_minimum_enum, xi, norm, bound)
         )
 
@@ -731,7 +735,7 @@ def test_uniform_minimum_scaled_witness():
     chain_ = chain(xi, NORM_SUP)
     k = 2
     bound = chain_.metrics()[k + 1] - 1
-    witness = uniform_minimum(xi, NORM_SUP, bound, chain_)
+    witness = uniform_minimum(xi, chain_, bound)
     # A box just below the next height still admits entry k itself...
     assert witness.valuation >= chain_.entries[k].val.value
     assert max(abs(witness.pair.x), witness.pair.y) <= bound
@@ -743,8 +747,8 @@ def test_uniform_minimum_scaled_witness():
 
 def test_uniform_minimum_bound_below_first_height():
     xi = from_digits(5, [0, 1, 2, 3])
-    with pytest.raises(ValueError):
-        uniform_minimum(xi, NORM_SUP, 4)
+    with pytest.raises(ValueError, match="below the first chain height"):
+        uniform_minimum(xi, chain(xi, NORM_SUP), 4)
     with pytest.raises(ValueError):
         uniform_minimum_enum(xi, NORM_SUP, 4)
 
@@ -859,13 +863,13 @@ def test_library_rejects_out_of_range_bounds_and_foreign_chains():
     xi = from_digits(2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
     with pytest.raises(ValueError, match="bound must be positive"):
         oracle_chain(xi, NORM_SUP, 0)
-    for search in (uniform_minimum, uniform_minimum_enum):
-        with pytest.raises(ValueError, match="at least 2"):
-            search(xi, NORM_SUP, 1)
+    with pytest.raises(ValueError, match="at least 2"):
+        uniform_minimum(xi, chain(xi, NORM_SUP), 1)
+    with pytest.raises(ValueError, match="at least 2"):
+        uniform_minimum_enum(xi, NORM_SUP, 1)
     other_prime = chain(from_digits(3, [1, 2, 0, 1, 1, 2, 0, 1, 2, 2]), NORM_SUP)
-    for foreign in (chain(xi, NORM_MULT), other_prime):
-        with pytest.raises(ValueError, match="does not match"):
-            uniform_minimum(xi, NORM_SUP, 4, foreign)
+    with pytest.raises(ValueError, match="does not match"):
+        uniform_minimum(xi, other_prime, 4)
 
 
 def test_chain_repr_past_the_str_limit():

@@ -229,6 +229,24 @@ def test_lacunary_sandwich_validation():
         check_lacunary_sandwich(report, 3, 1)
     skipped = check_lacunary_sandwich(fake_report(), 3, 3)
     assert skipped.passed is None
+    for c, d in ((math.inf, 3), (3, math.inf), (math.nan, 3), (3, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            check_lacunary_sandwich(report, c, d)
+
+
+def test_tolerances_must_be_finite_and_nonnegative():
+    report = fake_report(mu=3.0, mu_times=6.0, hat_mu=2.0, hat_mu_times=3.0)
+    checks = (
+        lambda tol: check_chain_bounds(report, tol),
+        lambda tol: check_endlich(report, tol),
+        lambda tol: check_lacunary_sandwich(report, 3, 3, tol),
+        lambda tol: check_surgery_pointwise(surgery_witness(), tol),
+    )
+    for check in checks:
+        for tol in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                check(tol)
+        check(0.0)
 
 
 # ---------------------------------------------------------------------------
