@@ -164,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--p", type=int, default=None)
     ver.add_argument(
-        "--checks", type=str, default="all",
-        help="comma-separated check names to keep (default: all)",
-    )
-    ver.add_argument(
         "--exact-checks", action="store_true",
         help="insist on the exact integer chain checks (requires --chain)",
     )
@@ -248,9 +244,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    wanted = {name.strip() for name in args.checks.split(",") if name.strip()}
-    if not wanted:
-        raise ValueError(f"--checks {args.checks!r} selects no check")
     report = load_report(args.report)
     results = check_chain_bounds(report, args.tol)
     results.extend(check_endlich(report, args.tol))
@@ -269,12 +262,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sup_chain = chain_from_entries(args.p, NORM_SUP, entries)
         results.append(check_korollar(sup_chain))
         results.append(check_padicle(entries, args.p))
-    if args.checks != "all":
-        known = {r.name for r in results}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(f"unknown checks requested: {sorted(unknown)}")
-        results = [r for r in results if r.name in wanted]
     summary = checks_to_dict(results)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -231,14 +231,16 @@ def schneider_step(
 
 
 def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
-    """Largest g with p**(g+ell) <= height**mu, by exact integer comparison.
+    """Largest g with p**(g+ell) <= height**mu, decided exactly.
 
-    With mu = a/b the condition reads (p**b)**(g+ell) <= height**a, so
-    g + ell is the integer log of height**a to the base p**b.
+    With mu = a/b the condition reads p**((g+ell)*b) <= height**a, so
+    g + ell = floor(j/b) for the one integer log j = ilog(height, p, a);
+    neither height**a nor a power of p**b is formed.  ``tests/reference.py``
+    keeps the search over explicit powers as the independent check.
     """
     if height < 2:
         raise ValueError("height must be >= 2 to select a block exponent")
-    return ilog(height**mu.numerator, p**mu.denominator) - ell
+    return ilog(height, p, mu.numerator) // mu.denominator - ell
 
 
 def _next_block(state: SchneiderState, mu: Fraction) -> int:
@@ -278,9 +280,12 @@ def schneider_exponent_driven(
     (exact integer inequalities).  The very first block is fixed at g = 1
     because the seed pair has height 1 and admits no positive selection.
 
-    A trailing block is selected for the last pair (so its ledger valuation
-    is known), then the limit is materialized at exactly that precision;
-    a selection that takes it past the digit cap raises at once.
+    Each selection reads one integer log, ``ilog(H_n, p, a)`` for
+    mu_n = a/b (see :func:`select_block_exponent`), so no power of a
+    height is formed.  A trailing block is selected for the last pair (so
+    its ledger valuation is known), then the limit is materialized at
+    exactly that precision; a selection that takes it past the digit cap
+    raises at once, whatever the size of a and b.
     The sequence may be a scalar (constant target) or a list whose last
     entry repeats; every used entry must be >= 2 + _EPSILON = 5/2.
 
@@ -314,8 +319,11 @@ def schneider_sandwich_report(state: SchneiderState) -> list[dict]:
     """Exact sandwich check ``H_n**(-mu_n) <= L_n <= p * H_n**(-mu_n)``.
 
     L_n = p**(-ledger_valuation(n)).  Covers every index n >= 1 whose
-    driving exponent and ledger valuation are both on record.  Each row
-    reports the two exact boolean comparisons.
+    driving exponent and ledger valuation are both on record.  With
+    mu_n = a/b the sandwich reads p**(b*ell) <= H_n**a < p**(b*(ell+1)),
+    so each row reads the one integer log j = ilog(H_n, p, a) and reports
+    the two exact comparisons b*ell <= j and j < b*(ell+1).  The benchmark's
+    ``padicbench/checks.py`` recomputes the rows with explicit powers.
     """
     rows = []
     mus = list(state.mus) + ([state.trailing_mu] if state.trailing_g is not None else [])
@@ -323,18 +331,16 @@ def schneider_sandwich_report(state: SchneiderState) -> list[dict]:
         if n >= len(mus) or mus[n] is None:
             continue
         mu_n = mus[n]
-        a, b = mu_n.numerator, mu_n.denominator
+        b = mu_n.denominator
         ell = state.ledger_valuation(n)
-        h_pow = state.height(n) ** a
-        lower_ok = state.p ** (ell * b) <= h_pow
-        upper_ok = h_pow < state.p ** ((ell + 1) * b)
+        j = ilog(state.height(n), state.p, mu_n.numerator)
         rows.append(
             {
                 "n": n,
                 "mu": mu_n,
                 "ledger_valuation": ell,
-                "lower_ok": lower_ok,
-                "upper_ok": upper_ok,
+                "lower_ok": b * ell <= j,
+                "upper_ok": j < b * (ell + 1),
             }
         )
     return rows

@@ -93,18 +93,71 @@ def pval(n: int, p: int) -> int:
     return v
 
 
-def ilog(n: int, base: int) -> int:
-    """Largest e >= 0 with base**e <= n, computed exactly (n >= 1)."""
+def ilog(n: int, base: int, power: int = 1) -> int:
+    """Largest e >= 0 with base**e <= n**power, computed exactly (n >= 1).
+
+    With power 1 a float log is corrected by explicit powers of base.  A
+    power above 1 needs a prime base and never forms n**power: see
+    :func:`_ilog_power`.
+    """
     if n < 1:
         raise ValueError("ilog requires n >= 1")
     if base < 2:
         raise ValueError("ilog requires base >= 2")
+    if power != 1:
+        return _ilog_power(n, base, power)
     e = max(0, int(math.log(n) / math.log(base)))
     while base**e > n:
         e -= 1
     while base ** (e + 1) <= n:
         e += 1
     return e
+
+
+def _ilog_power(n: int, p: int, power: int) -> int:
+    """floor(power * log_p n) for a prime p, without forming n**power.
+
+    With k = ilog(n, p), n = p**k gives power*k.  Otherwise n**power is no
+    power of the prime p, so f = power*log_p(num/den) is irrational for the
+    nearer power of p: num/den = n/p**k gives power*k + floor(f), and
+    num/den = p**(k+1)/n gives power*(k+1) - 1 - floor(f).  As f lies in
+    (0, power), decimal bounds on it decide its floor: num/den lies between
+    ratios of their top bits, each rounded logarithm is widened by one unit
+    in the last place, and products and quotients round outward.  The
+    precision doubles until no integer lies between the bounds, so the cost
+    grows with how close f comes to an integer; the nearer power keeps
+    n = p**k +- 1 (Schneider heights are p**k plus a small term) at the
+    first precision.  A composite base is refused: 8**2 = 4**3 is a tie
+    that no bound excludes.
+    """
+    if power < 1:
+        raise ValueError("ilog requires power >= 1")
+    if not is_prime(p):
+        raise ValueError(f"ilog with power {power} requires a prime base, got {p}")
+    k = ilog(n, p)
+    below = p**k
+    if below == n:
+        return power * k
+    if 2 * n <= below * (p + 1):
+        num, den, offset, sign = n, below, power * k, 1
+    else:
+        num, den, offset, sign = below * p, n, power * (k + 1) - 1, -1
+    digits = len(str(power)) + 20
+    while True:
+        # The top bits stay below 2**(3*digits) < 10**digits, so they convert exactly.
+        shift = max(0, den.bit_length() - 3 * digits)
+        num_top, den_top = num >> shift, den >> shift
+        cut = shift > 0  # then num/den lies in [num_top/(den_top+1), (num_top+1)/den_top]
+        down = decimal.Context(prec=digits, rounding=decimal.ROUND_FLOOR)
+        up = decimal.Context(prec=digits, rounding=decimal.ROUND_CEILING)
+        ln_low = down.next_minus(down.ln(down.divide(num_top, den_top + cut)))
+        ln_high = up.next_plus(up.ln(up.divide(num_top + cut, den_top)))
+        low = down.divide(down.multiply(power, ln_low), up.next_plus(up.ln(p)))
+        high = up.divide(up.multiply(power, ln_high), down.next_minus(down.ln(p)))
+        # A negative low bounds nothing useful: f > 0 is known.
+        if max(0, int(low)) == int(high):
+            return offset + sign * int(high)
+        digits *= 2
 
 
 def digits_to_int(digits: Sequence[int], p: int) -> int:

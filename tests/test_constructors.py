@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,41 @@ def test_exponent_driven_sandwich_exact():
     state, _ = schneider_exponent_driven(3, Fraction(5, 2), 8)
     rows = schneider_sandwich_report(state)
     assert len(rows) == 8
+    assert all(row["lower_ok"] and row["upper_ok"] for row in rows)
+
+
+def test_sandwich_rows_report_a_ledger_off_by_one_block_digit():
+    # At an integer target the integer log j equals the ledger valuation, so
+    # each side is tested at its boundary.
+    state, _ = schneider_exponent_driven(2, Fraction(3), 6)
+    # A ledger one digit too deep breaks the lower side, one too shallow the upper.
+    deeper = schneider_sandwich_report(replace(state, trailing_g=state.trailing_g + 1))
+    shallower = schneider_sandwich_report(replace(state, trailing_g=state.trailing_g - 1))
+    assert (deeper[-1]["lower_ok"], deeper[-1]["upper_ok"]) == (False, True)
+    assert (shallower[-1]["lower_ok"], shallower[-1]["upper_ok"]) == (True, False)
+    assert all(row["lower_ok"] and row["upper_ok"] for row in deeper[:-1] + shallower[:-1])
+
+
+def test_exponent_driven_refuses_a_huge_target_at_the_digit_cap():
+    # The third block would raise a 10**6-bit height to the 1000th power;
+    # the cap refuses it from one integer log, without forming that power.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds digit cap"):
+            schneider_exponent_driven(2, Fraction(1000), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_exponent_driven_target_with_a_large_denominator():
+    state, xi = schneider_exponent_driven(2, Fraction(2_500_001, 1_000_000), 12)
+    assert state.gs == (1, 1, 1, 3, 6, 9, 13, 20, 30, 45, 68, 102)
+    assert state.trailing_g == 153
+    assert xi.precision == 452
+    rows = schneider_sandwich_report(state)
+    assert len(rows) == 12
     assert all(row["lower_ok"] and row["upper_ok"] for row in rows)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,37 @@ def test_ilog_rejects_bad_arguments():
         ilog(0, 2)
     with pytest.raises(ValueError):
         ilog(5, 1)
+    with pytest.raises(ValueError, match="power"):
+        ilog(5, 2, 0)
+    with pytest.raises(ValueError, match="power"):
+        ilog(5, 2, -3)
+    # 8**2 = 4**3: a tie between powers that no bound on logarithms excludes.
+    assert ilog(8, 4) == 1
+    with pytest.raises(ValueError, match="prime base"):
+        ilog(8, 4, 2)
+
+
+@st.composite
+def near_prime_powers(draw):
+    """(p, n) with n = p**k + delta, delta in {-1, 0, 1} or up to p**k in size."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    k = draw(st.integers(min_value=0, max_value=40))
+    delta = draw(st.sampled_from((-1, 0, 1)) | st.integers(-(p**k), p**k))
+    return p, max(1, p**k + delta)
+
+
+@given(pn=near_prime_powers(), power=st.integers(min_value=1, max_value=3000))
+@example(pn=(2, 2**10), power=3000)
+@example(pn=(13, 13**40), power=2999)
+@example(pn=(3, 3), power=2)
+@example(pn=(7, 1), power=5)
+@example(pn=(2, 2**60_000 - 1), power=5)
+@example(pn=(3, 3**5_000 + 1), power=7)
+@settings(max_examples=300, deadline=None)
+def test_ilog_power_matches_explicit_powers(pn, power):
+    p, n = pn
+    expected = 0 if n == 1 else reference.select_block_exponent(p, n, 0, Fraction(power))
+    assert ilog(n, p, power) == expected
 
 
 @given(
