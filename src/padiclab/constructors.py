@@ -161,9 +161,9 @@ class SchneiderState:
     ``pairs[i]`` holds (numerator, denominator) for index n = i - 1, so the
     seed pairs (1, 0) and (0, 1) sit at n = -1 and n = 0.  ``gs[i]`` is the
     block exponent g_(i+1) that produced pair n = i + 1, and ``mus[i]`` is
-    the target exponent that drove its selection (None for the fixed
-    bootstrap block).  ``trailing_g`` is the next block exponent, selected
-    but not yet applied; it pins down the ledger valuation of the last pair.
+    the target exponent that drove its selection (None for a bootstrap
+    block).  ``trailing_g`` is the next block exponent, selected but not
+    yet applied; it pins down the ledger valuation of the last pair.
     """
 
     p: int
@@ -225,8 +225,6 @@ def schneider_step(
         pairs=state.pairs + (new_pair,),
         gs=state.gs + (g_next,),
         mus=state.mus + (mu,),
-        trailing_g=None,
-        trailing_mu=None,
     )
 
 
@@ -243,76 +241,75 @@ def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
     return ilog(height, p, mu.numerator) // mu.denominator - ell
 
 
-def _next_block(state: SchneiderState, mu: Fraction) -> int:
-    """The block exponent that realizes target mu at the last pair (>= 1)."""
+def _next_block(state: SchneiderState, mu: Fraction) -> tuple[int, Fraction | None]:
+    """The block (g, mu) that realizes target mu at the last pair, or the
+    bootstrap block (1, None) where no g >= 1 does (a pair too small for mu).
+    """
     n = state.n_last
-    height, ell = state.height(n), state.block_sum(n)
-    g = select_block_exponent(state.p, height, ell, mu)
-    if g < 1:
-        a, b = mu.numerator, mu.denominator
-        raise ValueError(
-            f"selected block exponent {g} < 1 at index {n}: target {mu} = a/b "
-            "needs H**a >= p**(b*(ell + 1)), but height H = "
-            f"{int_to_decimal(height)} and ledger valuation ell = {ell} give "
-            f"H**{a} < {state.p}**{b * (ell + 1)}"
-        )
-    return g
+    if state.height(n) >= 2:
+        g = select_block_exponent(state.p, state.height(n), state.block_sum(n), mu)
+        if g >= 1:
+            return g, mu
+    return 1, None
 
 
-def _mu_at(mu_seq: Sequence[Fraction] | Fraction | int | float, n: int) -> Fraction:
-    if isinstance(mu_seq, (Fraction, int, float)):
-        return Fraction(mu_seq)
-    if not mu_seq:
-        raise ValueError("empty exponent sequence")
-    return Fraction(mu_seq[min(n, len(mu_seq) - 1)])
+def _mu_at(mu_seq: Sequence[Fraction] | Fraction | int, n: int) -> Fraction:
+    """Target n (the last entry repeats); floats are refused as inexact."""
+    if isinstance(mu_seq, Sequence):
+        if not mu_seq:
+            raise ValueError("empty exponent sequence")
+        mu_seq = mu_seq[min(n, len(mu_seq) - 1)]
+    if not isinstance(mu_seq, (Fraction, int)):
+        raise ValueError(f"target exponent {mu_seq!r} is not a Fraction or an int")
+    return Fraction(mu_seq)
 
 
 def schneider_exponent_driven(
     p: int,
-    mu_seq: Sequence[Fraction] | Fraction | int | float,
+    mu_seq: Sequence[Fraction] | Fraction | int,
     steps: int,
 ) -> tuple[SchneiderState, PAdicNumber]:
-    """Drive the Schneider recursion so each step realizes a target exponent.
+    """Drive the Schneider recursion so each driven block realizes a target.
 
-    For n >= 1 the block g_(n+1) is the largest with
-    ``p**(g + block_sum(n)) <= H_n**mu_n``, which sandwiches the ledger as
-    ``H_n**(-mu_n) <= p**(-ledger_valuation(n)) <= p * H_n**(-mu_n)``
-    (exact integer inequalities).  The very first block is fixed at g = 1
-    because the seed pair has height 1 and admits no positive selection.
+    Driven block k takes target mu_k at the last pair n: g_(n+1) is the
+    largest g with ``p**(g + block_sum(n)) <= H_n**mu_k``, which sandwiches
+    the ledger as ``H_n**(-mu_k) <= p**(-ledger_valuation(n)) <=
+    p * H_n**(-mu_k)`` (exact integer inequalities).  Where g < 1 (at the
+    seed pair, and at pair 2 for p >= 5 at mu = 5/2) the pair gets the
+    bootstrap block g = 1 with target None, and mu_k is retried at the next
+    pair; a limsup exponent ignores finitely many blocks.  Bootstraps
+    consume no target, so the sandwich report has ``steps`` rows.
+
+    The retry ends: with D_n = mu*log_p H_n - block_sum(n), pair n gets the
+    bootstrap iff D_n < 1.  As H_(n+2) >= p*H_n, bootstraps at n and n + 1
+    give D_(n+2) >= D_n + mu - 2 >= D_n + 1/2, so a run from pair n lasts at
+    most 2*ceil(2*(1 - D_n)) pairs (4 from the seed, where D_0 = 0).
 
     Each selection reads one integer log, ``ilog(H_n, p, a)`` for
-    mu_n = a/b (see :func:`select_block_exponent`), so no power of a
-    height is formed.  A trailing block is selected for the last pair (so
-    its ledger valuation is known), then the limit is materialized at
-    exactly that precision; a selection that takes it past the digit cap
-    raises at once, whatever the size of a and b.
-    The sequence may be a scalar (constant target) or a list whose last
-    entry repeats; every used entry must be >= 2 + _EPSILON = 5/2.
-
-    Small targets can fail to start.  For 5/2 <= mu < 3 the first driven
-    block is g = 1, so the first driven pair is (p, p + 1) at index 2 with
-    ledger valuation 2, and its block needs (p + 1)**a >= p**(3*b) for
-    mu = a/b.  That fails for p >= 5 at mu = 5/2 and for p = 7 at
-    mu = 11/4, and the constructor raises ValueError.
+    mu_k = a/b, so no power of a height is formed.  The last driven block
+    stays the trailing block of the last pair (fixing its ledger
+    valuation), and the limit is materialized at exactly that precision; a
+    selection past the digit cap raises at once.  ``mu_seq`` is one target
+    or a list whose last entry repeats; each target used is a Fraction or
+    an int (floats are refused) of at least 2 + _EPSILON = 5/2.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = schneider_step(schneider_initial(p), 1, None)  # bootstrap block
-    precision = 1  # the sum of every block exponent selected so far
-    for n in range(1, steps + 1):
-        mu_n = _mu_at(mu_seq, n - 1)
-        if mu_n < 2 + _EPSILON:
-            raise ValueError(f"target exponent {mu_n} below 2 + {_EPSILON}")
-        g = _next_block(state, mu_n)
-        precision += g
+    state, driven = schneider_initial(p), 0
+    while True:
+        mu_k = _mu_at(mu_seq, driven)
+        if mu_k < 2 + _EPSILON:
+            raise ValueError(f"target exponent {mu_k} below 2 + {_EPSILON}")
+        g, mu = _next_block(state, mu_k)
+        precision = sum(state.gs) + g
         if precision > _MAX_DIGITS:
             raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
-        if n < steps:
-            state = schneider_step(state, g, mu_n)
-    state = replace(state, trailing_g=g, trailing_mu=mu_n)
-    num, den = state.pair(state.n_last)
-    xi = from_rational(p, num, den, precision)
-    return state, xi
+        driven += mu is not None
+        if driven == steps:
+            break
+        state = schneider_step(state, g, mu)
+    state = replace(state, trailing_g=g, trailing_mu=mu)
+    return state, from_rational(p, *state.pair(state.n_last), precision)
 
 
 def schneider_sandwich_report(state: SchneiderState) -> list[dict]:
@@ -518,12 +515,13 @@ def build_ratio_witness(
 
     The source number comes from the exponent-driven Schneider recursion
     with filler target 2 + _EPSILON and isolated spikes at target t*mu; the
-    spike convergents are the source approximations.  Each source position
-    is the floor base-p log of the spike convergent's height, spikes are
-    spaced so each interval ends well before the next source position, and
-    the offset constant is fixed large enough that every interval starts
-    strictly above the valuation of its source approximation (which keeps
-    the transplanted valuations equal to the source ones).
+    spike convergents (a spike meeting a bootstrap block is retried at the
+    next pair) are the source approximations.  Each source position is the
+    floor base-p log of the spike convergent's height, spikes are spaced so
+    each interval ends well before the next source position, and the offset
+    constant is fixed large enough that every interval starts strictly
+    above the valuation of its source approximation (which keeps the
+    transplanted valuations equal to the source ones).
     """
     t = Fraction(t)
     mu = Fraction(mu)
@@ -537,20 +535,20 @@ def build_ratio_witness(
 
     # Filler blocks until each spike's height is reached, then until the
     # source covers two digits past the last interval end.
-    state = schneider_step(schneider_initial(p), 1, None)
+    state = schneider_initial(p)
     spike_indices: list[int] = []
     sigmas: list[int] = []
-    target, needed, precision = sigma1_target, 0, 1
+    target, needed, precision = sigma1_target, 0, 0
     while len(sigmas) < num_spikes or precision < needed:
         n = state.n_last
-        if len(sigmas) < num_spikes and (log_h := ilog(state.height(n), p)) >= target:
-            state = schneider_step(state, _next_block(state, tilde), tilde)
+        spike = len(sigmas) < num_spikes and (log_h := ilog(state.height(n), p)) >= target
+        g, block_mu = _next_block(state, tilde if spike else filler)
+        state = schneider_step(state, g, block_mu)
+        if spike and block_mu is not None:
             spike_indices.append(n)
             sigmas.append(log_h)
             tau = int(mu * (int(tilde * log_h) + c_offset))
             target, needed = gap_multiplier * tau + 20, tau + 2
-        else:
-            state = schneider_step(state, _next_block(state, filler), filler)
         precision = state.block_sum(state.n_last)
         if precision > _WITNESS_MAX_DIGITS:
             raise ValueError(
@@ -558,8 +556,7 @@ def build_ratio_witness(
             )
 
     spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
-    num, den = state.pair(state.n_last)
-    zeta = from_rational(p, num, den, precision)
+    zeta = from_rational(p, *state.pair(state.n_last), precision)
 
     result = surgery_transform(zeta, spec)
     xi = result.xi

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .lattice import (
@@ -178,8 +179,9 @@ def _float_field(data: dict, name: str, nullable: bool = True) -> float | None:
     value = data[name]
     if value is None and nullable:
         return None
-    if type(value) not in (int, float):
-        raise ValueError(f"report field {name!r} must be a number, got {value!r}")
+    # The range test also refuses NaN, the infinities and oversized integers.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"report field {name!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -188,8 +190,8 @@ def load_report(path: str) -> ExponentReport:
 
     Every field must be present with its JSON type: integers (not booleans)
     for ``k``, ``valuation`` and ``burn_in``, a boolean for
-    ``precision_limited`` and numbers (or null where the field is optional)
-    for the exponents, so a saved report loads back unchanged.
+    ``precision_limited`` and finite numbers (or null where the field is
+    optional) for the exponents, so a saved report loads back unchanged.
     """
     with open(path, encoding="utf-8") as handle:
         try:

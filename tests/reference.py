@@ -11,7 +11,8 @@ build one ``ApproxPair`` per ladder candidate before sorting them.  The
 chain crawl visits every level with the candidate-set walk, in both norms,
 and shares neither a kernel nor staircase code with the package.  The
 independence check is a plain all-pairs scan.  The Schneider
-block search is seeded by a float logarithm, and digit surgery edits the
+block search is seeded by a float logarithm, the exponent-driven recursion
+built on it keeps its own convergent lists, and digit surgery edits the
 digit vector.
 Tests require the package to agree with them exactly.
 """
@@ -27,6 +28,7 @@ from padiclab import (
     BestApproxChain,
     CheckResult,
     PAdicNumber,
+    SchneiderState,
     SurgeryResult,
     SurgerySpec,
     UniformWitness,
@@ -487,6 +489,37 @@ def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:
     while p ** ((g + 1 + ell) * b) <= target:
         g += 1
     return g
+
+
+def schneider_driven(
+    p: int, targets: Sequence[Fraction], steps: int
+) -> SchneiderState:
+    """The exponent-driven Schneider recursion on explicit powers.
+
+    Driven block k takes target ``targets[min(k, len(targets) - 1)]`` at the
+    last pair, g = ``select_block_exponent`` above.  A pair of height 1, or
+    one where that g is below 1, gets the bootstrap block g = 1 (target
+    None) and the same target is tried at the next pair.  The ``steps``-th
+    driven block is left as the trailing block.
+    """
+    pairs = [(1, 0), (0, 1)]
+    gs: list[int] = []
+    mus: list[Fraction | None] = []
+    driven = 0
+    while True:
+        mu = targets[min(driven, len(targets) - 1)]
+        height = max(pairs[-1])
+        g = select_block_exponent(p, height, sum(gs), mu) if height > 1 else 0
+        if g >= 1:
+            driven += 1
+            if driven == steps:
+                return SchneiderState(p, tuple(pairs), tuple(gs), tuple(mus), g, mu)
+        else:
+            g, mu = 1, None
+        (num_m, den_m), (num_n, den_n) = pairs[-2], pairs[-1]
+        pairs.append((num_n + p**g * num_m, den_n + p**g * den_m))
+        gs.append(g)
+        mus.append(mu)
 
 
 def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +412,8 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
         (("verify", "--report", "{report}", "--tol", "inf"), "tolerance must be"),
         (("verify", "--report", "{report}", "--lacunary-c", "inf",
           "--lacunary-d", "3"), "gap ratios must be finite"),
+        (("verify", "--report", "{infinite_report}"),
+         "'mu' must be a finite number, got inf"),
     ],
 )
 def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
@@ -420,8 +423,17 @@ def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
     save_report(
         padiclab.ExponentReport(3.0, 6.0, 2.0, 3.0, 2, False, ()), report_json
     )
+    # json writes the infinities as the non-standard literal Infinity.
+    infinite_json = tmp_path / "infinite.json"
+    save_report(
+        padiclab.ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ()),
+        infinite_json,
+    )
     out = tmp_path / "out"
-    argv = [arg.format(chain=chain_csv, report=report_json) for arg in argv]
+    argv = [
+        arg.format(chain=chain_csv, report=report_json, infinite_report=infinite_json)
+        for arg in argv
+    ]
     assert run_cli(*argv, "-o", str(out)) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
@@ -589,6 +601,29 @@ def test_construct_surgery_smoke(tmp_path):
     ) == 0
     payload = json.loads(digit_file.read_text())
     assert payload["p"] == 2 and payload["precision"] > 1
+
+
+def test_construct_starts_schneider_and_surgery_for_p5(tmp_path):
+    # At p = 5 the target 5/2 meets no block g >= 1 at pair 2, so both
+    # recursions take a bootstrap block there.
+    ledger_csv = tmp_path / "ledger.csv"
+    assert run_cli(
+        "construct", "schneider", "--p", "5", "--mu", "5/2", "--steps", "5",
+        "--ledger", str(ledger_csv), "-o", str(tmp_path / "schneider.json"),
+    ) == 0
+    # Two bootstrap blocks and four applied driven ones give six pairs; the
+    # fifth driven block is the trailing one.
+    rows = read_csv_rows(ledger_csv)
+    assert [row["g_n"] for row in rows] == ["1", "1", "1", "2", "2", "3"]
+    assert rows[1]["p_n"] == "5" and rows[1]["q_n"] == "6"
+    digit_file = tmp_path / "surgery.json"
+    assert run_cli(
+        "construct", "surgery", "--p", "5", "--t", "3/2", "--mu", "6",
+        "--spikes", "1", "--sigma1", "5", "--gap-multiplier", "4",
+        "-o", str(digit_file),
+    ) == 0
+    payload = json.loads(digit_file.read_text())
+    assert payload["p"] == 5 and payload["precision"] == 417
 
 
 def test_runtime_imports_only_the_standard_library():

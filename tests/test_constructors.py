@@ -20,6 +20,7 @@ from padiclab import (
     build_factorial,
     build_lacunary,
     build_ratio_witness,
+    check_surgery_pointwise,
     lacunary_pow_exponents,
     linear_form_valuation,
     make_pair,
@@ -201,7 +202,7 @@ def test_exponent_driven_ledger_matches_linear_forms():
 
 
 def test_exponent_driven_coprimality_and_divisibility():
-    for p in (2, 3):
+    for p in (2, 3, 5, 7):
         state, _ = schneider_exponent_driven(p, Fraction(5, 2), 10)
         for n in range(1, state.n_last + 1):
             num, den = state.pair(n)
@@ -279,21 +280,64 @@ def test_exponent_driven_respects_digit_cap():
             schneider_exponent_driven(2, Fraction(1100), steps)
 
 
+def test_exponent_driven_refuses_float_targets():
+    # 2.7 would drive the recursion at 3039929748475085/1125899906842624.
+    for mu_seq in (2.7, [Fraction(3), 2.7], (3, 3.5)):
+        with pytest.raises(ValueError, match="is not a Fraction or an int"):
+            schneider_exponent_driven(2, mu_seq, 3)
+
+
 @pytest.mark.parametrize(
-    "p, mu, condition",
-    [(5, Fraction(5, 2), "H = 6 and ledger valuation ell = 2 give H**5 < 5**6"),
-     (7, Fraction(11, 4), "H = 8 and ledger valuation ell = 2 give H**11 < 7**12")],
-    ids=("p5-mu5_2", "p7-mu11_4"),
+    "p, mu",
+    [(5, Fraction(5, 2)), (7, Fraction(5, 2)), (7, Fraction(11, 4)), (11, Fraction(5, 2))],
+    ids=("p5-mu5_2", "p7-mu5_2", "p7-mu11_4", "p11-mu5_2"),
 )
-def test_exponent_driven_start_failure_names_the_condition(p, mu, condition):
-    # The first driven pair (p, p + 1) needs (p + 1)**a >= p**(3*b).
-    with pytest.raises(ValueError) as info:
-        schneider_exponent_driven(p, mu, 5)
-    message = str(info.value)
-    assert message.startswith("selected block exponent 0 < 1 at index 2: ")
-    assert "needs H**a >= p**(b*(ell + 1))" in message
-    assert message.endswith(condition)
+def test_exponent_driven_starts_with_bootstrap_blocks(p, mu):
+    # The pair (p, p + 1) at index 2 has no block g >= 1 for mu = a/b, as
+    # (p + 1)**a < p**(3*b); it gets the bootstrap block and mu is retried.
     assert (p + 1) ** mu.numerator < p ** (3 * mu.denominator)
+    state, xi = schneider_exponent_driven(p, mu, 12)
+    assert state == reference.schneider_driven(p, [mu], 12)
+    assert state.pair(2) == (p, p + 1)
+    assert [i for i, target in enumerate(state.mus) if target is None] == [0, 2]
+    rows = schneider_sandwich_report(state)
+    assert [row["n"] for row in rows] == [1, *range(3, state.n_last + 1)]
+    assert len(rows) == 12
+    assert all(row["lower_ok"] and row["upper_ok"] for row in rows)
+    for n in range(1, state.n_last + 1):
+        num, den = state.pair(n)
+        assert math.gcd(num, den) == 1
+        val = linear_form_valuation(xi, num, den)
+        assert val.is_exact == (n < state.n_last)
+        assert val.value == state.ledger_valuation(n)
+
+
+def test_exponent_driven_bootstraps_consume_no_target():
+    # Target 1 meets the bootstrap at pair 2 and is retried at pair 3, so
+    # target 2 first drives the block at pair 4.
+    targets = [Fraction(5, 2), Fraction(5, 2), Fraction(3)]
+    state, _ = schneider_exponent_driven(5, targets, 4)
+    assert state.mus == (None, Fraction(5, 2), None, Fraction(5, 2), Fraction(3))
+    assert state.trailing_mu == Fraction(3)
+    assert state == reference.schneider_driven(5, targets, 4)
+
+
+def _targets(b: int):
+    """Fractions a/b in [5/2, 4]."""
+    return st.integers(-(-5 * b // 2), 4 * b).map(lambda a: Fraction(a, b))
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11, 13)),
+    targets=st.lists(st.integers(1, 8).flatmap(_targets), min_size=1, max_size=3),
+    steps=st.integers(1, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_exponent_driven_matches_explicit_power_recursion(p, targets, steps):
+    state, xi = schneider_exponent_driven(p, targets, steps)
+    assert state == reference.schneider_driven(p, targets, steps)
+    assert len(schneider_sandwich_report(state)) == steps
+    assert xi.precision == state.ledger_valuation(state.n_last)
 
 
 def test_schneider_ledger_csv(tmp_path):
@@ -434,6 +478,30 @@ def test_ratio_witness_small():
     ]
     intervals = spec.intervals()
     assert all(any(lo <= i <= hi for lo, hi in intervals) for i in changed)
+
+
+def test_ratio_witness_starts_for_p5():
+    # The filler target 5/2 meets no block g >= 1 at pair 2 for p = 5.
+    witness = build_ratio_witness(
+        5, Fraction(3, 2), Fraction(6), sigma1_target=5, gap_multiplier=4, num_spikes=1
+    )
+    assert witness.xi.precision == 417
+    assert [i for i, mu in enumerate(witness.state.mus) if mu is None] == [0, 2]
+    for src, moved in zip(witness.source_pairs, witness.spike_pairs):
+        assert src.val.is_exact and moved.val == src.val
+    assert all(r.passed for r in check_surgery_pointwise(witness, tol=0.10))
+
+
+def test_ratio_witness_retries_a_spike_due_at_the_seed_pair():
+    # At sigma1_target 0 the first spike is due at the seed pair of height 1,
+    # which takes the bootstrap block; the spike is recorded at pair 1.
+    witness = build_ratio_witness(
+        3, Fraction(5, 4), Fraction(4), sigma1_target=0, gap_multiplier=3
+    )
+    assert witness.spec.sigmas[0] == 1
+    source = witness.source_pairs[0]
+    assert (source.x, source.y) == witness.state.pair(1) == (3, 1)
+    assert witness.state.mus[:2] == (None, Fraction(5))
 
 
 def test_ratio_witness_validation():

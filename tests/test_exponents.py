@@ -210,6 +210,12 @@ def test_load_report_accepts_the_well_formed_template(tmp_path):
         pytest.param(report_text(drop="valuation"), id="no-valuation"),
         pytest.param(report_text(drop="log_height"), id="no-log_height"),
         pytest.param(report_text(drop="uniform_term"), id="no-uniform_term"),
+        pytest.param(report_text(mu=math.inf, mu_times=math.inf), id="mu-infinity"),
+        pytest.param(report_text(hat_mu_times=-math.inf), id="hat_mu_times-minus-infinity"),
+        pytest.param(report_text(mu=math.nan), id="mu-nan"),
+        pytest.param(report_text(row_log_height=math.nan), id="log_height-nan"),
+        pytest.param(report_text(row_tau=math.inf), id="tau-infinity"),
+        pytest.param(report_text(mu=10**400), id="mu-beyond-float-range"),
     ],
 )
 def test_load_report_rejects_malformed(tmp_path, content):
