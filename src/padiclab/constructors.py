@@ -15,10 +15,12 @@ Families covered:
 from __future__ import annotations
 
 import csv
+import math
 import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -84,12 +86,17 @@ class LacunarySpec:
             )
 
 
-def build_lacunary(spec: LacunarySpec) -> PAdicNumber:
-    """The number with digit 1 exactly at the requested exponent positions."""
-    precision = spec.exponents[-1] + 1
+def _ones_at(p: int, positions: Sequence[int]) -> PAdicNumber:
+    """The number with digit 1 exactly at the increasing positions."""
+    precision = positions[-1] + 1
     if precision > _MAX_DIGITS:
         raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
-    return from_value(spec.p, sum(spec.p**a for a in spec.exponents), precision)
+    return from_value(p, sum(p**pos for pos in positions), precision)
+
+
+def build_lacunary(spec: LacunarySpec) -> PAdicNumber:
+    """The number with digit 1 exactly at the requested exponent positions."""
+    return _ones_at(spec.p, spec.exponents)
 
 
 def lacunary_pow_exponents(d: float, terms: int) -> tuple[int, ...]:
@@ -111,15 +118,7 @@ def build_factorial(p: int, terms: int) -> PAdicNumber:
     """The number with digit 1 exactly at positions 1!, 2!, ..., terms!."""
     if terms < 2:
         raise ValueError("need at least 2 terms")
-    positions = []
-    f = 1
-    for j in range(1, terms + 1):
-        f *= j
-        positions.append(f)
-    precision = positions[-1] + 1
-    if precision > _MAX_DIGITS:
-        raise ValueError(f"precision {precision} exceeds digit cap {_MAX_DIGITS}")
-    return from_value(p, sum(p**pos for pos in positions), precision)
+    return _ones_at(p, [math.factorial(j) for j in range(1, terms + 1)])
 
 
 def thue_morse_bit(i: int) -> int:
@@ -187,13 +186,20 @@ class SchneiderState:
         num, den = self.pair(n)
         return max(abs(num), abs(den))
 
+    @property
+    def _blocks(self) -> tuple[tuple[int, Fraction | None], ...]:
+        """(g, mu) of every block, the selected trailing block last."""
+        blocks = tuple(zip(self.gs, self.mus))
+        if self.trailing_g is None:
+            return blocks
+        return blocks + ((self.trailing_g, self.trailing_mu),)
+
     def block_sum(self, k: int) -> int:
         """g_1 + ... + g_k (the valuation gained by the first k blocks)."""
-        if k <= len(self.gs):
-            return sum(self.gs[:k])
-        if k == len(self.gs) + 1 and self.trailing_g is not None:
-            return sum(self.gs) + self.trailing_g
-        raise IndexError(f"block sum {k} not available")
+        blocks = self._blocks
+        if not 0 <= k <= len(blocks):
+            raise IndexError(f"block sum {k} not available")
+        return sum(g for g, _ in blocks[:k])
 
     def ledger_valuation(self, n: int) -> int:
         """Valuation of den_n * xi - num_n against the limit number."""
@@ -323,11 +329,9 @@ def schneider_sandwich_report(state: SchneiderState) -> list[dict]:
     ``padicbench/checks.py`` recomputes the rows with explicit powers.
     """
     rows = []
-    mus = list(state.mus) + ([state.trailing_mu] if state.trailing_g is not None else [])
-    for n in range(1, state.n_last + 1):
-        if n >= len(mus) or mus[n] is None:
+    for n, (_, mu_n) in enumerate(state._blocks[1:], start=1):
+        if mu_n is None:
             continue
-        mu_n = mus[n]
         b = mu_n.denominator
         ell = state.ledger_valuation(n)
         j = ilog(state.height(n), state.p, mu_n.numerator)
@@ -348,12 +352,10 @@ def schneider_ledger_csv(state: SchneiderState, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "p_n", "q_n", "g_n", "H_n", "vL_n"])
+        known = len(state._blocks)  # ledger valuations of pairs n < known
         for n in range(1, state.n_last + 1):
             num, den = state.pair(n)
-            try:
-                ledger = str(state.ledger_valuation(n))
-            except IndexError:
-                ledger = ""
+            ledger = str(state.ledger_valuation(n)) if n < known else ""
             writer.writerow(
                 [
                     n,
@@ -418,20 +420,15 @@ class SurgerySpec:
         return tuple(zip(self.nus, self.taus))
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
-    xi: PAdicNumber
-    corrections: tuple[int, ...]
-    partials: tuple[int, ...]  # partials[j] = corrections[0] + ... + corrections[j-1]
-
-
-def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
+def surgery_transform(
+    zeta: PAdicNumber, spec: SurgerySpec
+) -> tuple[PAdicNumber, tuple[int, ...]]:
     """Clear the requested digit intervals of zeta, keeping 1 at both endpoints.
 
-    Also returns, per interval, the correction integer (the value of zeta's
-    digit block on the interval minus the two endpoint ones that replace it)
-    and the running partial sums of corrections, so that
-    ``xi = zeta - partials[-1]`` as residues.
+    Returns the edited number xi and, per interval, the correction integer
+    (the value of zeta's digit block on the interval minus the two endpoint
+    ones that replace it), so that ``xi = zeta - sum(corrections)`` as
+    residues.
     """
     if spec.taus[-1] >= zeta.precision:
         raise ValueError(
@@ -442,36 +439,8 @@ def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
     for nu, tau in spec.intervals():
         block = zeta.value // p**nu % p ** (tau - nu + 1) * p**nu
         corrections.append(block - p**nu - p**tau)
-    partials = [0]
-    for u in corrections:
-        partials.append(partials[-1] + u)
-    return SurgeryResult(
-        xi=from_value(p, zeta.value - partials[-1], zeta.precision),
-        corrections=tuple(corrections),
-        partials=tuple(partials),
-    )
-
-
-def surgery_pairs(
-    xi: PAdicNumber,
-    source_pairs: Sequence[ApproxPair],
-    partials: Sequence[int],
-) -> list[ApproxPair]:
-    """Transplant approximations of the source number onto the edited one.
-
-    Pair j (1-based) maps (x0, x1) to (x0 - partials[j-1] * x1, x1); its
-    valuation against xi is recomputed from scratch.  Requires one partial
-    sum per source pair (partials[0] = 0 for the first).
-    """
-    if len(source_pairs) > len(partials):
-        raise ValueError(
-            f"{len(source_pairs)} pairs need {len(source_pairs)} partial sums, "
-            f"got {len(partials)}"
-        )
-    return [
-        make_pair(xi, pair.x - partials[j] * pair.y, pair.y)
-        for j, pair in enumerate(source_pairs)
-    ]
+    xi = from_value(p, zeta.value - sum(corrections), zeta.precision)
+    return xi, tuple(corrections)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +491,13 @@ def build_ratio_witness(
     constant is fixed large enough that every interval starts strictly
     above the valuation of its source approximation (which keeps the
     transplanted valuations equal to the source ones).
+
+    Source pair j (0-based) moves to x - (c_0 + ... + c_(j-1))*y.  For
+    j >= 1 that shift, about p**tau_(j-1), multiplies the product height of
+    a pair of height about p**sigma_j by about p**tau_(j-1), so its product
+    exponent falls from about t*mu by the factor 2*sigma_j / (2*sigma_j +
+    tau_(j-1)) >= 2g / (2g + 1), as sigma_j >= g*tau_(j-1) for g =
+    ``gap_multiplier``: 10/11 at g = 5, but 8/9 at g = 4, outside a 10% window.
     """
     t = Fraction(t)
     mu = Fraction(mu)
@@ -547,7 +523,8 @@ def build_ratio_witness(
         if spike and block_mu is not None:
             spike_indices.append(n)
             sigmas.append(log_h)
-            tau = int(mu * (int(tilde * log_h) + c_offset))
+            spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
+            tau = spec.taus[-1]
             target, needed = gap_multiplier * tau + 20, tau + 2
         precision = state.block_sum(state.n_last)
         if precision > _WITNESS_MAX_DIGITS:
@@ -555,16 +532,14 @@ def build_ratio_witness(
                 f"precision {precision} exceeds digit cap {_WITNESS_MAX_DIGITS}"
             )
 
-    spec = SurgerySpec(t=t, mu=mu, c_offset=c_offset, sigmas=tuple(sigmas))
     zeta = from_rational(p, *state.pair(state.n_last), precision)
-
-    result = surgery_transform(zeta, spec)
-    xi = result.xi
+    xi, corrections = surgery_transform(zeta, spec)
     source_pairs = tuple(make_pair(zeta, *state.pair(n)) for n in spike_indices)
-    spike_pairs = tuple(surgery_pairs(xi, source_pairs, result.partials))
-    truncation_pairs = tuple(
-        make_pair(xi, residue(xi, nu + 1), 1) for nu in spec.nus
+    spike_pairs = tuple(
+        make_pair(xi, pair.x - shift * pair.y, pair.y)
+        for pair, shift in zip(source_pairs, accumulate(corrections, initial=0))
     )
+    truncation_pairs = tuple(make_pair(xi, residue(xi, nu + 1), 1) for nu in spec.nus)
     return RatioWitness(
         p=p,
         t=t,
@@ -576,5 +551,5 @@ def build_ratio_witness(
         source_pairs=source_pairs,
         spike_pairs=spike_pairs,
         truncation_pairs=truncation_pairs,
-        corrections=result.corrections,
+        corrections=corrections,
     )

@@ -163,8 +163,15 @@ def report_to_dict(report: ExponentReport) -> dict:
 
 
 def save_report(report: ExponentReport, path: str) -> None:
+    """Write a report that :func:`load_report` reads back unchanged.
+
+    A field that load refuses (a non-finite exponent, say) raises
+    ValueError before the file is opened.
+    """
+    data = report_to_dict(report)
+    _report_from_dict(data)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -200,6 +207,11 @@ def load_report(path: str) -> ExponentReport:
             raise ValueError(f"malformed report JSON in {path!r}") from exc
     if not isinstance(data, dict) or not set(REPORT_FIELDS) <= set(data):
         raise ValueError(f"report JSON missing required fields in {path!r}")
+    return _report_from_dict(data)
+
+
+def _report_from_dict(data: dict) -> ExponentReport:
+    """The report of a dict with every field; raises ValueError on a bad one."""
     if not isinstance(data["pointwise"], list):
         raise ValueError("report field 'pointwise' must be a list")
     rows = []

@@ -169,7 +169,9 @@ def check_padicle(pairs: Sequence[ApproxPair], p: int) -> CheckResult:
     others.  One scan by decreasing valuation finds and scores every such
     partner.  The least (slack, (i, j)) gives the verdict, margin and
     tightest pair of comparing every pair (lighter partners sort first on
-    ties), in at most n - 1 probes for n pairs.
+    ties), in at most n - 1 probes for n pairs.  The indices i < j of
+    ``inputs["tightest"]`` count the pairs sorted by (sup height,
+    valuation), not in their input order.
     """
     if len(pairs) < 2:
         return _skip("pair_independence", "fewer than two pairs")

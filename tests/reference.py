@@ -29,7 +29,6 @@ from padiclab import (
     CheckResult,
     PAdicNumber,
     SchneiderState,
-    SurgeryResult,
     SurgerySpec,
     UniformWitness,
     from_digits,
@@ -522,7 +521,9 @@ def schneider_driven(
         mus.append(mu)
 
 
-def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
+def surgery_transform(
+    zeta: PAdicNumber, spec: SurgerySpec
+) -> tuple[PAdicNumber, tuple[int, ...]]:
     """Clear each interval of zeta's digit vector, keeping 1 at both ends."""
     if spec.taus[-1] >= zeta.precision:
         raise ValueError(
@@ -538,11 +539,4 @@ def surgery_transform(zeta: PAdicNumber, spec: SurgerySpec) -> SurgeryResult:
             digits[i] = 0
         digits[nu] = 1
         digits[tau] = 1
-    partials = [0]
-    for u in corrections:
-        partials.append(partials[-1] + u)
-    return SurgeryResult(
-        xi=from_digits(p, digits),
-        corrections=tuple(corrections),
-        partials=tuple(partials),
-    )
+    return from_digits(p, digits), tuple(corrections)

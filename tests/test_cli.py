@@ -423,12 +423,11 @@ def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
     save_report(
         padiclab.ExponentReport(3.0, 6.0, 2.0, 3.0, 2, False, ()), report_json
     )
-    # json writes the infinities as the non-standard literal Infinity.
+    # json writes the infinities as the non-standard literal Infinity
+    # (save_report refuses them, so the file is written by hand).
     infinite_json = tmp_path / "infinite.json"
-    save_report(
-        padiclab.ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ()),
-        infinite_json,
-    )
+    infinite = padiclab.ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ())
+    infinite_json.write_text(json.dumps(padiclab.report_to_dict(infinite)))
     out = tmp_path / "out"
     argv = [
         arg.format(chain=chain_csv, report=report_json, infinite_report=infinite_json)

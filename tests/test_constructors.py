@@ -31,7 +31,6 @@ from padiclab import (
     schneider_sandwich_report,
     schneider_step,
     select_block_exponent,
-    surgery_pairs,
     surgery_transform,
     thue_morse_bit,
     from_digits,
@@ -350,6 +349,21 @@ def test_schneider_ledger_csv(tmp_path):
     assert len(lines) == 1 + state.n_last
 
 
+def test_schneider_ledger_without_a_trailing_block(tmp_path):
+    # Applied blocks fix the ledger of every pair but the last one.
+    state = schneider_initial(3)
+    for g in (1, 2):
+        state = schneider_step(state, g, Fraction(5, 2))
+    assert state.trailing_g is None
+    path = tmp_path / "ledger.csv"
+    schneider_ledger_csv(state, path)
+    assert path.read_text().splitlines()[1:] == ["1,3,1,1,3,3", "2,3,10,2,10,"]
+    assert [row["n"] for row in schneider_sandwich_report(state)] == [1]
+    assert state.block_sum(2) == 3
+    with pytest.raises(IndexError):
+        state.ledger_valuation(2)
+
+
 # ---------------------------------------------------------------------------
 # digit surgery
 # ---------------------------------------------------------------------------
@@ -376,12 +390,11 @@ def test_surgery_transform_hand_example():
     zeta = from_digits(2, [1] * 12)
     spec = SurgerySpec(t=Fraction(1), mu=Fraction(5, 2), c_offset=2, sigmas=(1,))
     assert spec.nus == (4,) and spec.taus == (10,)
-    result = surgery_transform(zeta, spec)
+    xi, corrections = surgery_transform(zeta, spec)
     # The all-ones block on [4, 10] is 2**11 - 2**4; endpoints keep single 1s.
-    assert result.corrections == (2**11 - 2**4 - 2**4 - 2**10,)
-    assert result.partials == (0, result.corrections[0])
-    assert result.xi.digits == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1)
-    assert (zeta.value - result.xi.value) % 2**12 == result.partials[-1] % 2**12
+    assert corrections == (2**11 - 2**4 - 2**4 - 2**10,)
+    assert xi.digits == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1)
+    assert (zeta.value - xi.value) % 2**12 == corrections[0] % 2**12
 
 
 @given(
@@ -396,8 +409,8 @@ def test_surgery_corrections_match_digit_blocks(p, seed, second):
     )
     rng = random.Random(seed)
     digits = [rng.randrange(p) for _ in range(spec.taus[-1] + 5)]
-    result = surgery_transform(from_digits(p, digits), spec)
-    assert result.corrections == tuple(
+    _, corrections = surgery_transform(from_digits(p, digits), spec)
+    assert corrections == tuple(
         sum(digits[i] * p**i for i in range(nu, tau + 1)) - p**nu - p**tau
         for nu, tau in spec.intervals()
     )
@@ -425,12 +438,11 @@ def surgery_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_surgery_transform_matches_digit_editing(case):
     zeta, spec = case
-    result = surgery_transform(zeta, spec)
-    expected = reference.surgery_transform(zeta, spec)
-    assert result.xi == expected.xi
-    assert result.xi.digits == expected.xi.digits
-    assert result.corrections == expected.corrections
-    assert result.partials == expected.partials
+    xi, corrections = surgery_transform(zeta, spec)
+    expected_xi, expected_corrections = reference.surgery_transform(zeta, spec)
+    assert xi == expected_xi
+    assert xi.digits == expected_xi.digits
+    assert corrections == expected_corrections
 
 
 def test_surgery_transform_validates_precision():
@@ -438,15 +450,6 @@ def test_surgery_transform_validates_precision():
     spec = SurgerySpec(t=Fraction(1), mu=Fraction(5, 2), c_offset=2, sigmas=(1,))
     with pytest.raises(ValueError):
         surgery_transform(zeta, spec)  # interval end 10 >= precision 10
-
-
-def test_surgery_pairs_translation():
-    xi = from_digits(2, [1, 0, 1, 1, 0, 1])
-    source = [make_pair(xi, 5, 2), make_pair(xi, 7, 3)]
-    pairs = surgery_pairs(xi, source, [0, 8])
-    assert pairs == [make_pair(xi, 5, 2), make_pair(xi, 7 - 8 * 3, 3)]
-    with pytest.raises(ValueError):
-        surgery_pairs(xi, source, [0])
 
 
 def test_ratio_witness_small():
@@ -478,6 +481,36 @@ def test_ratio_witness_small():
     ]
     intervals = spec.intervals()
     assert all(any(lo <= i <= hi for lo, hi in intervals) for i in changed)
+
+
+def test_ratio_witness_transplants_by_running_corrections():
+    # Source pair j moves to x - (c_0 + ... + c_(j-1)) * y, valued against xi.
+    witness = build_ratio_witness(
+        2, Fraction(3, 2), Fraction(3), sigma1_target=5, gap_multiplier=2, num_spikes=3
+    )
+    assert len(witness.spike_pairs) == len(witness.corrections) == 3
+    for j, (src, moved) in enumerate(zip(witness.source_pairs, witness.spike_pairs)):
+        shift = sum(witness.corrections[:j])
+        assert moved == make_pair(witness.xi, src.x - shift * src.y, src.y)
+        assert (j == 0) == (moved == make_pair(witness.xi, src.x, src.y))
+
+
+def test_ratio_witness_two_spikes_p5():
+    # The shift of the second spike by c_0 ~ p**tau_0 lowers its product
+    # exponent by the factor 2*sigma_1 / (2*sigma_1 + tau_0) >= 2g / (2g + 1):
+    # 10/11 at g = 5 stays inside the 10% window (8/9 at g = 4 does not).
+    witness = build_ratio_witness(
+        5, Fraction(3, 2), Fraction(6), sigma1_target=4, gap_multiplier=5
+    )
+    results = check_surgery_pointwise(witness, tol=0.10)
+    assert all(r.passed for r in results)
+    mult = [r.inputs["exponent"] for r in results if r.name.startswith("surgery_mult")]
+    assert [round(e, 3) for e in mult] == [9.493, 8.374]
+    sigma, tau = witness.spec.sigmas[1], witness.spec.taus[0]
+    src = witness.source_pairs[1]
+    source_exponent = 2 * src.val.value * math.log(5) / math.log(src.height_mult_sq)
+    assert mult[1] / source_exponent == pytest.approx(2 * sigma / (2 * sigma + tau), abs=1e-3)
+    assert 2 * sigma / (2 * sigma + tau) >= Fraction(10, 11)
 
 
 def test_ratio_witness_starts_for_p5():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -147,6 +148,15 @@ def test_ilog_power_matches_explicit_powers(pn, power):
     p, n = pn
     expected = 0 if n == 1 else reference.select_block_exponent(p, n, 0, Fraction(power))
     assert ilog(n, p, power) == expected
+
+
+@pytest.mark.parametrize("p, b", [(2, 401), (3, 301), (5, 501)])
+def test_ilog_power_doubles_its_precision(p, b):
+    # isqrt(p**b)**2 lies just below p**b for odd b, so 2*log_p of it comes
+    # within about p**(-b/2) of the integer b and the first bounds fail.
+    n = math.isqrt(p**b)
+    assert p ** (b - 1) <= n**2 < p**b
+    assert ilog(n, p, 2) == b - 1
 
 
 @given(

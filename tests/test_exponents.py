@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,8 @@ from padiclab import (
     NORM_SUP,
     ApproxPair,
     BestApproxChain,
+    ExponentReport,
+    PointwiseExponent,
     Valuation,
     build_report,
     burn_in_index,
@@ -223,6 +226,26 @@ def test_load_report_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         load_report(path.as_posix())
+
+
+ROW = PointwiseExponent(k=0, valuation=3, log_height=1.5, tau=1.4, uniform_term=None)
+
+
+@pytest.mark.parametrize(
+    "field, report",
+    [
+        ("mu", ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ())),
+        ("hat_mu_times", ExponentReport(None, 6.0, None, -math.inf, 2, False, (ROW,))),
+        ("tau", ExponentReport(
+            None, 6.0, None, 3.0, 2, False, (dataclasses.replace(ROW, tau=math.nan),)
+        )),
+    ],
+)
+def test_save_report_refuses_a_non_finite_field(tmp_path, field, report):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=f"'{field}' must be a finite number"):
+        save_report(report, path.as_posix())
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,20 @@ def test_mult_skip_still_visits_max_level():
     assert fast == reference.crawl_chain(xi, NORM_MULT, 9)
 
 
+@pytest.mark.parametrize(
+    "p, digits, max_level",
+    [
+        (2, [0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0], 12),
+        (3, [2, 1, 2, 1, 0, 2, 2, 2, 1, 2, 0, 0, 2], 9),
+    ],
+)
+def test_mult_skip_stops_at_max_level(p, digits, max_level):
+    # A product pair below its required valuation at level max_level itself
+    # ends the walk there: no later level is left to send it to.
+    xi = from_digits(p, digits)
+    assert chain(xi, NORM_MULT, max_level) == reference.crawl_chain(xi, NORM_MULT, max_level)
+
+
 def test_censored_pair_displaces_same_height_record():
     # (1, 1) has valuation 1, but the censored (-1, 1) of the same height
     # reaches at least 2, so (1, 1) is no record.
