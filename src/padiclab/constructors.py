@@ -34,6 +34,7 @@ from .core import (
     int_to_decimal,
     is_prime,
     make_pair,
+    mod_power,
     residue,
 )
 
@@ -437,7 +438,7 @@ def surgery_transform(
     p = zeta.p
     corrections = []
     for nu, tau in spec.intervals():
-        block = zeta.value // p**nu % p ** (tau - nu + 1) * p**nu
+        block = mod_power(zeta.value, p, tau + 1) - mod_power(zeta.value, p, nu)
         corrections.append(block - p**nu - p**tau)
     xi = from_value(p, zeta.value - sum(corrections), zeta.precision)
     return xi, tuple(corrections)

@@ -13,12 +13,16 @@ and shares neither a kernel nor staircase code with the package.  The
 independence check is a plain all-pairs scan.  The Schneider
 block search is seeded by a float logarithm, the exponent-driven recursion
 built on it keeps its own convergent lists, and digit surgery edits the
-digit vector.
+digit vector.  The Newton lift and the linear-form valuation reduce by
+``%`` at every power of p, masks included.  The chain CSV saver writes
+through ``csv.writer`` and the loader parses every height cell and compares
+it as an integer.
 Tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -31,11 +35,14 @@ from padiclab import (
     SchneiderState,
     SurgerySpec,
     UniformWitness,
+    Valuation,
     from_digits,
     ilog,
     linear_form_valuation,
     make_pair,
 )
+from padiclab.core import decimal_to_int, int_to_decimal
+from padiclab.lattice import CHAIN_CSV_FIELDS
 from padiclab.walk import Vector, _height, _sup_key
 
 
@@ -540,3 +547,77 @@ def surgery_transform(
         digits[nu] = 1
         digits[tau] = 1
     return from_digits(p, digits), tuple(corrections)
+
+
+def lift_by_division(p: int, num: int, den: int, precision: int) -> int:
+    """num/den modulo p**precision by the Newton lift, reducing with ``%``."""
+    ladder = [precision]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
+    inverse = pow(den, -1, p)
+    for k in reversed(ladder[:-1]):
+        inverse = inverse * (2 - den * inverse) % p**k
+    return num * inverse % p**precision
+
+
+def form_valuation_by_division(xi: PAdicNumber, x: int, y: int) -> Valuation:
+    """Valuation of ``y*xi - x``, the form reduced with ``%``."""
+    if y == 0:
+        return Valuation.exact(pval(x, xi.p))
+    ceiling = xi.precision + pval(y, xi.p)
+    r = (y * xi.value - x) % xi.p**ceiling
+    if r == 0:
+        return Valuation.at_least(ceiling)
+    return Valuation.exact(pval(r, xi.p))
+
+
+def save_chain_csv(chain_: BestApproxChain, path: str) -> None:
+    """Write chain entries through ``csv.writer``, heights from the integers."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CHAIN_CSV_FIELDS)
+        for k, pair in enumerate(chain_.entries):
+            writer.writerow(
+                [
+                    k,
+                    int_to_decimal(pair.x),
+                    int_to_decimal(pair.y),
+                    pair.val.value,
+                    "true" if pair.val.is_exact else "false",
+                    int_to_decimal(pair.height_sup),
+                    int_to_decimal(pair.height_mult_sq),
+                ]
+            )
+
+
+def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
+    """Read chain entries, parsing every cell and comparing heights as integers."""
+    entries: list[ApproxPair] = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(header) != CHAIN_CSV_FIELDS:
+            raise ValueError(f"malformed chain CSV header in {path!r}")
+        for row in reader:
+            if len(row) != len(CHAIN_CSV_FIELDS):
+                raise ValueError(f"malformed chain CSV row {row!r}")
+            try:
+                k = int(row[0])
+                x = decimal_to_int(row[1])
+                y = decimal_to_int(row[2])
+                value = int(row[3])
+                height_sup = decimal_to_int(row[5])
+                height_mult_sq = decimal_to_int(row[6])
+            except ValueError as exc:
+                raise ValueError(f"malformed chain CSV row {row!r}") from exc
+            if row[4] not in ("true", "false"):
+                raise ValueError(f"malformed valuation_exact flag in {row!r}")
+            if k != len(entries):
+                raise ValueError(f"chain CSV rows out of order at {row!r}")
+            if x == 0 or y <= 0:
+                raise ValueError(f"invalid pair in chain CSV row {row!r}")
+            if height_sup != max(abs(x), y) or height_mult_sq != abs(x) * y:
+                raise ValueError(f"inconsistent heights in chain CSV row {row!r}")
+            exact = row[4] == "true"
+            entries.append(ApproxPair(x, y, Valuation(value, exact)))
+    return tuple(entries)

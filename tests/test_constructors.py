@@ -445,6 +445,25 @@ def test_surgery_transform_matches_digit_editing(case):
     assert corrections == expected_corrections
 
 
+def test_long_reductions_match_division_on_the_schneider_number():
+    """The 300,707-digit p = 2 limit, where every reduction is a bit mask."""
+    state, number = schneider_exponent_driven(2, Fraction(5, 2), 28)
+    assert number.precision == 300_707
+    num, den = state.pair(state.n_last)
+    assert number.value == reference.lift_by_division(2, num, den, 300_707)
+    for n in (1, state.n_last // 2, state.n_last - 1, state.n_last):
+        x, y = state.pair(n)
+        for sign in (1, -1):
+            assert linear_form_valuation(number, sign * x, y) == (
+                reference.form_valuation_by_division(number, sign * x, y)
+            )
+    spec = SurgerySpec(
+        t=Fraction(3, 2), mu=Fraction(3), c_offset=1, sigmas=(1000, 20_000)
+    )
+    assert spec.taus[-1] < number.precision
+    assert surgery_transform(number, spec) == reference.surgery_transform(number, spec)
+
+
 def test_surgery_transform_validates_precision():
     zeta = from_digits(2, [1] * 10)
     spec = SurgerySpec(t=Fraction(1), mu=Fraction(5, 2), c_offset=2, sigmas=(1,))

@@ -29,7 +29,7 @@ from padiclab import (
     residue,
     save_digit_file,
 )
-from padiclab.core import decimal_to_int, int_to_decimal
+from padiclab.core import decimal_to_int, int_to_decimal, mod_power
 
 PRIMES = (2, 3, 5, 7)
 
@@ -102,6 +102,48 @@ def test_decimal_to_int_rejects_malformed_long_text():
         decimal_to_int("1" * 5000 + "x")
     with pytest.raises(ValueError):
         decimal_to_int("1_" * 3000)
+
+
+# Text that int() takes but the chain CSV grammar (an optional sign, then
+# ASCII digits) does not: surrounding whitespace, underscores, non-ASCII
+# digits.  "{d}" stands for a run of ASCII digits, short or past the chunk.
+_OFF_GRAMMAR = (
+    " {d}", "{d} ", " -{d}", "\t{d}\n", "1_{d}", "{d}\u0665", "\uff15{d}", "\u0665",
+    "+-{d}", "{d}-", "", "+", "-",
+)
+_ON_GRAMMAR = ("{d}", "+{d}", "-{d}", "0{d}", "-0{d}")
+
+
+@pytest.mark.parametrize("digits", ["5", "5" * 5000], ids=["short", "long"])
+@pytest.mark.parametrize("template", _OFF_GRAMMAR)
+def test_decimal_to_int_applies_one_grammar_at_every_length(template, digits):
+    with pytest.raises(ValueError, match="invalid decimal integer"):
+        decimal_to_int(template.format(d=digits))
+
+
+@pytest.mark.parametrize("digits", ["5", "5" * 5000], ids=["short", "long"])
+@pytest.mark.parametrize("template", _ON_GRAMMAR)
+def test_decimal_to_int_reads_signed_ascii_digits_at_every_length(template, digits):
+    text = template.format(d=digits)
+    sign = -1 if text.startswith("-") else 1
+    assert decimal_to_int(text) == sign * 5 * (10 ** len(digits) - 1) // 9
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    n=st.one_of(
+        st.integers(min_value=-(10**80), max_value=10**80),
+        st.integers(min_value=1, max_value=3000).map(lambda bits: -(1 << bits) + 12345),
+    ),
+    k=st.integers(min_value=0, max_value=400),
+)
+@example(p=2, n=-1, k=0)
+@example(p=3, n=-5, k=0)
+@example(p=2, n=-(2**80), k=300)  # k past the bit length of n
+@example(p=7, n=7**50 - 1, k=60)
+@settings(max_examples=400)
+def test_mod_power_matches_remainder(p, n, k):
+    assert mod_power(n, p, k) == n % p**k
 
 
 def test_ilog_examples():
@@ -214,6 +256,20 @@ def test_from_digits_validation():
         from_digits(2, [])
     with pytest.raises(ValueError):
         from_digits(2, [0, 2])
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        ([0, 1, 5, -1], "digit 5 at index 2 out of range [0, 3)"),
+        ([0, -1, 7], "digit -1 at index 1 out of range [0, 3)"),
+        ([2] * 70_000 + [3], "digit 3 at index 70000 out of range [0, 3)"),
+    ],
+)
+def test_from_digits_names_the_first_digit_out_of_range(digits, message):
+    with pytest.raises(ValueError) as info:
+        from_digits(3, digits)
+    assert str(info.value) == message
 
 
 @given(
@@ -410,6 +466,28 @@ def test_exact_valuations_survive_precision_growth(p, seed, x, y, extra):
     if val.is_exact:
         wide_val = linear_form_valuation(wide, x, y)
         assert wide_val.is_exact and wide_val.value == val.value
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    n=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=10**6),
+    x=st.integers(min_value=-(10**40), max_value=10**40),
+    y=st.integers(min_value=-(10**40), max_value=10**40),
+    e=st.integers(min_value=0, max_value=5),
+    censored=st.booleans(),
+)
+@settings(max_examples=300)
+def test_linear_form_valuation_matches_division(p, n, seed, x, y, e, censored):
+    """Negative coordinates, y divisible by p**e, and forms that vanish."""
+    xi = from_value(p, random.Random(seed).randrange(p**n), n)
+    y *= p**e
+    if censored:
+        x = y * xi.value
+    if x == 0 and y == 0:
+        return
+    expected = reference.form_valuation_by_division(xi, x, y)
+    assert linear_form_valuation(xi, x, y) == expected
 
 
 # ---------------------------------------------------------------------------

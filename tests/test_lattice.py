@@ -15,6 +15,7 @@ from padiclab import (
     NORMS,
     NORM_MULT,
     NORM_SUP,
+    ApproxPair,
     BestApproxChain,
     LacunarySpec,
     build_digit_rule,
@@ -33,6 +34,7 @@ from padiclab import (
     save_chain_csv,
     uniform_minimum,
     uniform_minimum_enum,
+    Valuation,
 )
 from padiclab import lattice
 from padiclab.lattice import Scalings
@@ -813,6 +815,140 @@ def test_chain_from_entries_splits_censored_tail(tmp_path):
     assert rebuilt.entries == result.entries
     assert rebuilt.censored == entries[-1]
     assert not rebuilt.censored.val.is_exact
+
+
+@st.composite
+def csv_chains(draw):
+    """A chain to save: the chain of a seeded number in either norm, then
+    pairs of 1 to 9000 digits with either sign of x (one with |x| = y), and
+    possibly a censored last row."""
+    p = draw(st.sampled_from(PRIMES))
+    norm = draw(st.sampled_from(NORMS))
+    xi = seeded_xi(p, draw(st.integers(4, 60)), draw(st.integers(0, 10**6)))
+    entries = list(chain(xi, norm).entries)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    sizes = st.sampled_from((1, 2, 40, 3000, 4299, 4301, 9000))
+
+    def number() -> int:
+        digits = draw(sizes)
+        return rng.randrange(10 ** (digits - 1), 10**digits)
+
+    for _ in range(draw(st.integers(0, 3))):
+        x = number()
+        y = x if draw(st.booleans()) else number()
+        val = Valuation.exact(rng.randrange(10**6))
+        entries.append(ApproxPair(rng.choice((x, -x)), y, val))
+    if entries and draw(st.booleans()):
+        last = entries[-1]
+        entries.append(ApproxPair(-last.x, last.y + 1, Valuation.at_least(10**6)))
+    return BestApproxChain(p, norm, tuple(entries))
+
+
+# Cell edits, given the cell and its row: non-canonical heights that keep
+# the value, and cells whose value or grammar changes ("other" puts the
+# text of |x| where y's was, or y's where it was not).
+_CELL_EDITS = {
+    "plus": lambda t, row: "+" + t,
+    "zero": lambda t, row: "0" + t if t[0] != "-" else "-0" + t[1:],
+    "negate": lambda t, row: t[1:] if t[0] == "-" else "-" + t,
+    "bump": lambda t, row: t[:-1] + str((int(t[-1]) + 1) % 10),
+    "space": lambda t, row: " " + t,
+    "underscore": lambda t, row: t + "_0",
+    "arabic": lambda t, row: t[:-1] + chr(0x660 + int(t[-1])),
+    "quoted": lambda t, row: f'"{t}"',
+    "other": lambda t, row: row[1].lstrip("-") if t == row[2] else row[2],
+}
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except ValueError:
+        return "refused"
+
+
+@given(
+    chain_=csv_chains(),
+    edits=st.lists(
+        st.tuples(
+            # Half the edits land on the last rows, where the long pairs are.
+            st.one_of(st.integers(0, 10**6), st.integers(-4, -1)),
+            st.sampled_from((1, 2, 5, 6)),
+            st.sampled_from(sorted(_CELL_EDITS)),
+        ),
+        max_size=2,
+    ),
+    lf_rows=st.booleans(),
+    appended=st.sampled_from((None, "canonical", "plus", "zero", "bump")),
+)
+@settings(max_examples=120, deadline=None)
+def test_chain_csv_matches_the_csv_module_reference(
+    tmp_path_factory, chain_, edits, lf_rows, appended
+):
+    """Same bytes as ``csv.writer``; the loader accepts and refuses exactly
+    the files the integer-comparing reference loader does."""
+    directory = tmp_path_factory.getbasetemp() / "csv-parity"
+    directory.mkdir(exist_ok=True)
+    path, reference_path = directory / "chain.csv", directory / "reference.csv"
+    save_chain_csv(chain_, path.as_posix())
+    reference.save_chain_csv(chain_, reference_path.as_posix())
+    text = path.read_bytes().decode()
+    assert text.encode() == reference_path.read_bytes()
+    assert load_chain_entries(path.as_posix()) == chain_.entries
+
+    lines = text.split("\r\n")[:-1]
+    rows = [line.split(",") for line in lines[1:]]
+    edited = set()
+    for row_index, column, edit in edits:
+        cell = (row_index % len(rows), column) if rows else None
+        if cell is not None and cell not in edited:
+            edited.add(cell)
+            row = rows[cell[0]]
+            row[column] = _CELL_EDITS[edit](row[column], row)
+    if appended is not None:
+        x, y = -7, 3  # heights 7 and 21
+        sup, mult = str(abs(x)), str(abs(x) * y)
+        if appended != "canonical":
+            edit = _CELL_EDITS[appended]
+            sup, mult = edit(sup, None), edit(mult, None)
+        rows.append([str(len(rows)), str(x), str(y), "5", "false", sup, mult])
+    end = "\n" if lf_rows else "\r\n"
+    path.write_text(
+        "".join(line + end for line in lines[:1] + [",".join(r) for r in rows]),
+        newline="",
+    )
+    outcome = _load_outcome(load_chain_entries, path.as_posix())
+    assert outcome == _load_outcome(reference.load_chain_entries, path.as_posix())
+
+
+@pytest.mark.parametrize("digits", [3, 3500], ids=["short", "long"])
+def test_chain_csv_checks_each_height_cell(tmp_path, digits):
+    """Short and long product cells (parsed, or checked against the decimal
+    product), canonical or not."""
+    xi = from_digits(2, [1, 0, 1])
+    x, y = -(10**digits + 7), 3 * 10 ** (digits - 1) + 1
+    original = BestApproxChain(2, NORM_SUP, (make_pair(xi, x, y),))
+    path = tmp_path / "chain.csv"
+    save_chain_csv(original, path.as_posix())
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    assert cells[5] == cells[1][1:] and len(cells[6]) == 2 * digits
+    bumped = cells[6][:-1] + str((int(cells[6][-1]) + 1) % 10)
+    for column, text, accepted in (
+        (5, "+" + cells[5], True),
+        (6, "0" + cells[6], True),
+        (5, cells[2], False),  # the smaller coordinate
+        (6, bumped, False),
+        (6, cells[6] + "0", False),
+    ):
+        edited = list(cells)
+        edited[column] = text
+        path.write_text(f"{header}\n{','.join(edited)}\n")
+        if accepted:
+            assert load_chain_entries(path.as_posix()) == original.entries
+        else:
+            with pytest.raises(ValueError, match="inconsistent heights"):
+                load_chain_entries(path.as_posix())
 
 
 @pytest.mark.parametrize(
