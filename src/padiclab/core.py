@@ -233,21 +233,19 @@ def exact_decimal_context() -> decimal.Context:
     return context
 
 
-def int_to_decimal(n: int, context: decimal.Context | None = None) -> str:
+def int_to_decimal(n: int) -> str:
     """Decimal text of ``n``, identical to ``str(n)`` at any length.
 
     CPython refuses ``str`` on integers past 4300 digits (a process-wide
     setting that this module leaves alone).  Longer integers are split into
     binary halves that are recombined in ``decimal`` arithmetic, whose
-    multiplication is sub-quadratic, and printed once.  A writer of many
-    integers passes one :func:`exact_decimal_context` for all of them.
+    multiplication is sub-quadratic, and printed once.
     """
     if n < 0:
-        return "-" + int_to_decimal(-n, context)
+        return "-" + int_to_decimal(-n)
     if n.bit_length() <= _DECIMAL_CHUNK_BITS:
         return str(n)
-    if context is None:
-        context = exact_decimal_context()
+    context = exact_decimal_context()
     powers: dict[int, decimal.Decimal] = {}
 
     def convert(m: int, bits: int) -> decimal.Decimal:

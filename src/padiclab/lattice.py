@@ -64,13 +64,6 @@ CHAIN_CSV_FIELDS = (
 # A chain's repr lists this many entries, then how many it leaves out.
 _REPR_ENTRIES = 8
 
-# The loader parses a product-height cell of up to this many characters
-# (one int() call) and compares it with |x|*y.  The decimal product of the
-# x and y texts overtakes that between 1000- and 3000-digit factors
-# (CPython 3.11.7 on a 2-vCPU machine: 38 against 45 us per row at 1000
-# digits, 426 against 357 us at 3000).
-_PARSED_PRODUCT_CHARS = 3000
-
 
 def _require_norm(norm: str) -> None:
     if norm not in NORMS:
@@ -528,32 +521,25 @@ def uniform_minimum_enum(
 # ---------------------------------------------------------------------------
 
 
-def _product_text(size: str, y_text: str, context: decimal.Context) -> str:
-    """Decimal text of |x|*y from the texts of |x| and y.
-
-    ``decimal`` reads the two texts, multiplies them in the exact
-    ``context`` and prints the product, each step linear or sub-quadratic
-    in the length, so no integer is converted to or from text on the way.
-    """
-    return str(context.multiply(decimal.Decimal(size), decimal.Decimal(y_text)))
-
-
 def save_chain_csv(chain_: BestApproxChain, path: str) -> None:
     """Write chain entries as CSV (one row per pair, stable column order).
 
     The bytes are those of ``csv.writer``'s default dialect: fields joined
     by commas and rows ended by CRLF.  No field needs quoting, since every
     field is an integer or ``true``/``false``, so no row is scanned for it.
+    The sup height is the text of |x| or y.  The product height is
+    ``decimal``'s exact product of the two texts, so no product is formed
+    as an integer and converted to text.
     """
     context = exact_decimal_context()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(CHAIN_CSV_FIELDS) + "\r\n")
         for k, pair in enumerate(chain_.entries):
-            x = int_to_decimal(pair.x, context)
-            y = int_to_decimal(pair.y, context)
+            x = int_to_decimal(pair.x)
+            y = int_to_decimal(pair.y)
             size = x.lstrip("-")
             sup = size if abs(pair.x) >= pair.y else y
-            mult = _product_text(size, y, context)
+            mult = str(context.multiply(decimal.Decimal(size), decimal.Decimal(y)))
             flag = "true" if pair.val.is_exact else "false"
             handle.write(f"{k},{x},{y},{pair.val.value},{flag},{sup},{mult}\r\n")
 
@@ -561,15 +547,9 @@ def save_chain_csv(chain_: BestApproxChain, path: str) -> None:
 def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
     """Read chain entries back from CSV, validating every row.
 
-    The height columns must hold max(|x|, y) and |x|*y.  A sup cell that
-    repeats the text of |x| or y (whichever is larger), and a product cell
-    longer than ``_PARSED_PRODUCT_CHARS`` that repeats the decimal product
-    of the x and y texts, pass without being parsed; any other height cell
-    is parsed and compared as an integer.  The file stores neither the
-    prime nor the norm; callers supply those when they rebuild a
-    :class:`BestApproxChain` around the entries.
+    The file stores neither the prime nor the norm; callers supply those
+    when they rebuild a :class:`BestApproxChain` around the entries.
     """
-    context = exact_decimal_context()
     entries: list[ApproxPair] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -584,6 +564,8 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
                 x = decimal_to_int(row[1])
                 y = decimal_to_int(row[2])
                 value = int(row[3])
+                height_sup = decimal_to_int(row[5])
+                height_mult_sq = decimal_to_int(row[6])
             except ValueError as exc:
                 raise ValueError(f"malformed chain CSV row {row!r}") from exc
             if row[4] not in ("true", "false"):
@@ -592,17 +574,7 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
                 raise ValueError(f"chain CSV rows out of order at {row!r}")
             if x == 0 or y <= 0:
                 raise ValueError(f"invalid pair in chain CSV row {row!r}")
-            size = row[1].lstrip("+-")
-            sup_ok = row[5] == (size if abs(x) >= y else row[2])
-            mult_ok = len(row[6]) > _PARSED_PRODUCT_CHARS and (
-                row[6] == _product_text(size, row[2], context)
-            )
-            try:
-                sup_ok = sup_ok or decimal_to_int(row[5]) == max(abs(x), y)
-                mult_ok = mult_ok or decimal_to_int(row[6]) == abs(x) * y
-            except ValueError as exc:
-                raise ValueError(f"malformed chain CSV row {row!r}") from exc
-            if not (sup_ok and mult_ok):
+            if height_sup != max(abs(x), y) or height_mult_sq != abs(x) * y:
                 raise ValueError(f"inconsistent heights in chain CSV row {row!r}")
             val = (
                 Valuation.exact(value)

@@ -923,8 +923,8 @@ def test_chain_csv_matches_the_csv_module_reference(
 
 @pytest.mark.parametrize("digits", [3, 3500], ids=["short", "long"])
 def test_chain_csv_checks_each_height_cell(tmp_path, digits):
-    """Short and long product cells (parsed, or checked against the decimal
-    product), canonical or not."""
+    """Short and long height cells, canonical or not, are compared with
+    max(|x|, y) and |x|*y as integers."""
     xi = from_digits(2, [1, 0, 1])
     x, y = -(10**digits + 7), 3 * 10 ** (digits - 1) + 1
     original = BestApproxChain(2, NORM_SUP, (make_pair(xi, x, y),))
