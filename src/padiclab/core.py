@@ -29,8 +29,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Below this many digits the quadratic schoolbook conversion wins.
 _NAIVE_DIGIT_THRESHOLD = 128
 
-# Maps the ASCII bits "0"/"1" to the digit values 0/1.
+# Maps the ASCII bits "0"/"1" to the digit values 0/1, and back.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 # Chunk sizes for decimal text, well inside CPython's 4300-digit limit on
 # int <-> str conversion (3000 digits; 9000 bits is about 2710 digits).
@@ -173,7 +174,19 @@ def mod_power(n: int, p: int, k: int) -> int:
 
 
 def digits_to_int(digits: Sequence[int], p: int) -> int:
-    """Evaluate a little-endian base-p digit vector as an integer."""
+    """Evaluate a little-endian base-p digit vector as an integer.
+
+    For p = 2 a list or tuple of 0/1 digits is read as one binary string.
+    Any other vector, one with a digit of 2 or more say, is evaluated digit
+    by digit, split in halves past 128 digits.
+    """
+    if p == 2 and isinstance(digits, (list, tuple)):
+        try:
+            bits = bytes(digits)
+        except (TypeError, ValueError):  # a digit that is no int in [0, 256)
+            bits = b""
+        if bits and not bits.translate(None, b"\x00\x01"):
+            return int(bits[::-1].translate(_BIT_TEXT), 2)
     n = len(digits)
     if n <= _NAIVE_DIGIT_THRESHOLD:
         acc = 0

@@ -30,22 +30,11 @@ from .lattice import (
 )
 from .core import PAdicNumber
 
-@dataclass(frozen=True)
-class PointwiseExponent:
-    """Per-entry exponent data; ``uniform_term`` is None on the last entry."""
+def pointwise(chain: BestApproxChain) -> list[tuple[float | None, float | None]]:
+    """``(tau, uniform_term)`` for every chain entry.
 
-    k: int
-    valuation: int
-    log_height: float
-    tau: float | None
-    uniform_term: float | None
-
-
-_POINTWISE_FIELDS = tuple(f.name for f in fields(PointwiseExponent))
-
-
-def pointwise(chain: BestApproxChain) -> tuple[PointwiseExponent, ...]:
-    """Pointwise exponents and uniform terms for every chain entry."""
+    ``tau`` is None on a height-one entry, ``uniform_term`` on the last one.
+    """
     log_p = math.log(chain.p)
     scale = 2.0 if chain.norm == NORM_MULT else 1.0
     logs = [math.log(metric) / scale for metric in chain.metrics()]
@@ -59,20 +48,9 @@ def pointwise(chain: BestApproxChain) -> tuple[PointwiseExponent, ...]:
         # A height-one pair (x = y = 1) carries no growth information.
         tau = pair.val.value * log_p / log_height if log_height > 0 else None
         best_gap = max(best_gap, pair.val.value * log_p - log_height)
-        if k + 1 < len(logs):
-            uniform_term = best_gap / logs[k + 1]
-        else:
-            uniform_term = None
-        rows.append(
-            PointwiseExponent(
-                k=k,
-                valuation=pair.val.value,
-                log_height=log_height,
-                tau=tau,
-                uniform_term=uniform_term,
-            )
-        )
-    return tuple(rows)
+        uniform_term = best_gap / logs[k + 1] if k + 1 < len(logs) else None
+        rows.append((tau, uniform_term))
+    return rows
 
 
 _BURN_IN = 0.2
@@ -95,10 +73,8 @@ def estimate(chain: BestApproxChain) -> tuple[float, float]:
             f"insufficient data: chain with {len(rows)} entries is too short "
             f"for burn-in {_BURN_IN}"
         )
-    taus = [row.tau for row in rows[start:] if row.tau is not None]
-    terms = [
-        row.uniform_term for row in rows[start:-1] if row.uniform_term is not None
-    ]
+    taus = [tau for tau, _ in rows[start:] if tau is not None]
+    terms = [term for _, term in rows[start:-1] if term is not None]
     if not taus or not terms:
         raise ValueError("chain tail has no usable exponent data")
     return max(taus), 1.0 + min(terms)
@@ -106,22 +82,24 @@ def estimate(chain: BestApproxChain) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExponentReport:
-    """Exponent estimates for one number; absent norms leave None fields.
+    """The four exponent estimates of one number.
 
-    ``pointwise`` and ``burn_in`` describe the multiplicative chain when one
-    was supplied, otherwise the classical chain.
+    A norm whose chain was not supplied leaves its two estimates None;
+    ``precision_limited`` is set when either chain met the precision
+    ceiling.  On disk the report also carries ``format``
+    (:data:`REPORT_FORMAT`).
     """
 
     mu: float | None
     mu_times: float | None
     hat_mu: float | None
     hat_mu_times: float | None
-    burn_in: int
     precision_limited: bool
-    pointwise: tuple[PointwiseExponent, ...]
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(ExponentReport))
+
+REPORT_FORMAT = "padic-report-v1"
 
 
 def build_report(
@@ -140,8 +118,6 @@ def build_report(
         mu, hat_mu = estimate(chain_sup)
     if chain_mult is not None:
         mu_times, hat_mu_times = estimate(chain_mult)
-    primary = chain_mult if chain_mult is not None else chain_sup
-    assert primary is not None
     limited = any(
         c.precision_limited for c in (chain_sup, chain_mult) if c is not None
     )
@@ -150,16 +126,13 @@ def build_report(
         mu_times=mu_times,
         hat_mu=hat_mu,
         hat_mu_times=hat_mu_times,
-        burn_in=burn_in_index(len(primary.entries)),
         precision_limited=limited,
-        pointwise=pointwise(primary),
     )
 
 
 def report_to_dict(report: ExponentReport) -> dict:
-    data = {name: getattr(report, name) for name in REPORT_FIELDS}
-    data["pointwise"] = [dict(vars(row)) for row in report.pointwise]
-    return data
+    """The JSON object :func:`save_report` writes: the fields and ``format``."""
+    return {"format": REPORT_FORMAT, **vars(report)}
 
 
 def save_report(report: ExponentReport, path: str) -> None:
@@ -175,16 +148,9 @@ def save_report(report: ExponentReport, path: str) -> None:
         handle.write("\n")
 
 
-def _exact_field(data: dict, name: str, kind: type) -> int | bool:
+def _float_field(data: dict, name: str) -> float | None:
     value = data[name]
-    if type(value) is not kind:  # exact, because bool is a subclass of int
-        raise ValueError(f"report field {name!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _float_field(data: dict, name: str, nullable: bool = True) -> float | None:
-    value = data[name]
-    if value is None and nullable:
+    if value is None:
         return None
     # The range test also refuses NaN, the infinities and oversized integers.
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
@@ -195,46 +161,47 @@ def _float_field(data: dict, name: str, nullable: bool = True) -> float | None:
 def load_report(path: str) -> ExponentReport:
     """Read a report back; raises ValueError on malformed content.
 
-    Every field must be present with its JSON type: integers (not booleans)
-    for ``k``, ``valuation`` and ``burn_in``, a boolean for
-    ``precision_limited`` and finite numbers (or null where the field is
-    optional) for the exponents, so a saved report loads back unchanged.
+    The keys must be exactly ``format`` and the report's fields: ``format``
+    must be :data:`REPORT_FORMAT`, ``precision_limited`` a boolean and each
+    exponent a finite number or null.  So a saved report loads back
+    unchanged, and a file of another format is refused rather than half-read.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed report JSON in {path!r}") from exc
-    if not isinstance(data, dict) or not set(REPORT_FIELDS) <= set(data):
-        raise ValueError(f"report JSON missing required fields in {path!r}")
+    if not isinstance(data, dict):
+        raise ValueError(f"report JSON in {path!r} is not an object")
+    keys = ("format", *REPORT_FIELDS)
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(
+            f"report JSON in {path!r} missing key(s) {', '.join(map(repr, missing))}"
+        )
+    if data["format"] != REPORT_FORMAT:
+        raise ValueError(
+            f"report field 'format' must be {REPORT_FORMAT!r}, got {data['format']!r}"
+        )
+    unknown = sorted(data.keys() - keys)
+    if unknown:
+        raise ValueError(
+            f"report JSON in {path!r} has unknown key(s) {', '.join(map(repr, unknown))}"
+        )
     return _report_from_dict(data)
 
 
 def _report_from_dict(data: dict) -> ExponentReport:
     """The report of a dict with every field; raises ValueError on a bad one."""
-    if not isinstance(data["pointwise"], list):
-        raise ValueError("report field 'pointwise' must be a list")
-    rows = []
-    for raw in data["pointwise"]:
-        if not isinstance(raw, dict) or not set(_POINTWISE_FIELDS) <= set(raw):
-            raise ValueError(f"malformed pointwise row {raw!r}")
-        rows.append(
-            PointwiseExponent(
-                k=_exact_field(raw, "k", int),
-                valuation=_exact_field(raw, "valuation", int),
-                log_height=_float_field(raw, "log_height", nullable=False),
-                tau=_float_field(raw, "tau"),
-                uniform_term=_float_field(raw, "uniform_term"),
-            )
-        )
+    limited = data["precision_limited"]
+    if type(limited) is not bool:  # exact, so 0 and 1 are refused
+        raise ValueError(f"report field 'precision_limited' must be bool, got {limited!r}")
     return ExponentReport(
         mu=_float_field(data, "mu"),
         mu_times=_float_field(data, "mu_times"),
         hat_mu=_float_field(data, "hat_mu"),
         hat_mu_times=_float_field(data, "hat_mu_times"),
-        burn_in=_exact_field(data, "burn_in", int),
-        precision_limited=_exact_field(data, "precision_limited", bool),
-        pointwise=tuple(rows),
+        precision_limited=limited,
     )
 
 

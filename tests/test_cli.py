@@ -288,7 +288,7 @@ PINNED_OUTPUTS = {
     "mult.csv": "60ad8138abaf985c168071207aaf8d1e128e6f2953b032d44714c334093a8678",
     "rule_mult.csv": "cd628900f26d5bac4bc3aa7eba429fb414a178c2be5ebbcbe1ba1d4350aed5dd",
     "oracle.csv": "94fe71044fa06bdf885df16e6cea7293c3768805ad305e44ddcf51d661142f50",
-    "report.json": "e46f042d4eec1f5c3d3378d97ba36267b3b9f1222821dadf148c046de2a2e014",
+    "report.json": "926e05b0d97f731e85caa2ae414854f3d58c83bce78a841c269f0897a17fc76e",
     "checks.json": "61991390bca0e2a9654eb69152d60f8871629a98216904135cdd9c533bb38cc9",
     "sweep.csv": "7cba2d18239f54c56c34fc25b9462955f9f93a04c0f88e2201627a90a81cc95a",
 }
@@ -421,12 +421,12 @@ def test_malformed_options_exit_2(tmp_path, capsys, argv, needle):
     write_chain_csv(chain_csv, ((3, 1, 1), (5, 1, 2), (13, 1, 3)))
     report_json = tmp_path / "report.json"
     save_report(
-        padiclab.ExponentReport(3.0, 6.0, 2.0, 3.0, 2, False, ()), report_json
+        padiclab.ExponentReport(3.0, 6.0, 2.0, 3.0, False), report_json
     )
     # json writes the infinities as the non-standard literal Infinity
     # (save_report refuses them, so the file is written by hand).
     infinite_json = tmp_path / "infinite.json"
-    infinite = padiclab.ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ())
+    infinite = padiclab.ExponentReport(math.inf, math.inf, 2.0, 3.0, False)
     infinite_json.write_text(json.dumps(padiclab.report_to_dict(infinite)))
     out = tmp_path / "out"
     argv = [
@@ -506,6 +506,23 @@ def test_verify_exits_2_on_mistyped_report(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "--report", str(report_json)) == 2
     assert "'precision_limited' must be bool" in capsys.readouterr().err
+
+
+def test_verify_exits_2_on_a_report_without_format(tmp_path, capsys):
+    """A report written before the format field, with its per-entry rows and
+    burn-in index, is refused rather than half-read."""
+    report_json = tmp_path / "report.json"
+    report_json.write_text(json.dumps({
+        "mu": None, "mu_times": 6.0, "hat_mu": None, "hat_mu_times": 3.0,
+        "burn_in": 2, "precision_limited": False,
+        "pointwise": [
+            {"k": 0, "valuation": 3, "log_height": 1.5, "tau": 1.4, "uniform_term": None},
+        ],
+    }))
+    assert run_cli("verify", "--report", str(report_json)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'format'" in err
+    assert "Traceback" not in err
 
 
 def test_verify_exits_1_on_failing_report(tmp_path, capsys):

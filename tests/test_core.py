@@ -206,6 +206,8 @@ def test_ilog_power_doubles_its_precision(p, b):
     p=st.sampled_from(PRIMES),
     count=st.integers(min_value=0, max_value=400),
 )
+@example(n=10**120, p=2, count=129)
+@example(n=10**120 - 1, p=2, count=400)
 def test_digit_conversion_round_trip(n, p, count):
     digits = int_to_digits(n, p, count)
     assert len(digits) == count
@@ -231,9 +233,30 @@ def test_binary_digits_match_divmod_digits(count, lead, seed):
     assert int_to_digits(n + (3 << count), 2, count) == reference.int_to_digits(n, 2, count)
 
 
+@given(
+    digits=st.lists(st.integers(min_value=0, max_value=1), max_size=1000)
+    | st.lists(st.integers(min_value=0, max_value=300), max_size=400),
+    container=st.sampled_from((list, tuple)),
+)
+@example(digits=[1] * 129, container=tuple)
+@example(digits=[0] * 200 + [1], container=list)
+@example(digits=[1] * 200 + [2] + [1] * 50, container=tuple)
+# Digits whose bytes read as binary text: "0", "1", "_" and a space.
+@example(digits=[1, 48, 0, 49], container=list)
+@example(digits=[1, 95, 0, 32], container=list)
+def test_binary_digits_to_int_matches_the_digit_sum(digits, container):
+    """At p = 2, 0/1 vectors of any length and vectors with digits of 2 or
+    more (even past a byte) evaluate to sum(d * 2**i)."""
+    expected = sum(d << i for i, d in enumerate(digits))
+    assert digits_to_int(container(digits), 2) == expected
+
+
 def test_digits_to_int_long_vector():
     digits = [1] * 300
     assert digits_to_int(digits, 2) == 2**300 - 1
+    # A digit of 2 or more is no binary digit, but still counts at its place.
+    assert digits_to_int(digits + [3], 2) == 2**300 - 1 + 3 * 2**300
+    assert digits_to_int([1, 2, 0, 3], 2) == 29
 
 
 # ---------------------------------------------------------------------------

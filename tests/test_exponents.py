@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -14,19 +13,16 @@ from padiclab import (
     ApproxPair,
     BestApproxChain,
     ExponentReport,
-    PointwiseExponent,
     Valuation,
     build_report,
-    burn_in_index,
     chain,
     cross_check_uniform,
     estimate,
     load_report,
-    pointwise,
     report_to_dict,
     save_report,
 )
-from padiclab.exponents import _sample_indices
+from padiclab.exponents import REPORT_FORMAT, _sample_indices, burn_in_index, pointwise
 from conftest import seeded_xi
 
 
@@ -45,26 +41,28 @@ def synthetic_chain(norm, rows, p=2):
 
 def test_pointwise_tau_and_uniform_term():
     chain_ = synthetic_chain(NORM_SUP, [(1, 3, 4), (5, 1, 6)])
-    rows = pointwise(chain_)
-    assert rows[0].tau == pytest.approx(4 * math.log(2) / math.log(3))
+    (tau, uniform_term), (_, last_term) = pointwise(chain_)
+    assert tau == pytest.approx(4 * math.log(2) / math.log(3))
     expected_term = (4 * math.log(2) - math.log(3)) / math.log(5)
-    assert rows[0].uniform_term == pytest.approx(expected_term)
-    assert rows[1].uniform_term is None
+    assert uniform_term == pytest.approx(expected_term)
+    assert last_term is None
 
 
 def test_pointwise_height_one_entry_has_no_tau():
     chain_ = synthetic_chain(NORM_SUP, [(1, 1, 2), (3, 1, 4), (9, 1, 6)])
-    rows = pointwise(chain_)
-    assert rows[0].tau is None
-    assert rows[1].tau is not None
+    taus = [tau for tau, _ in pointwise(chain_)]
+    assert taus[0] is None
+    assert taus[1] is not None
 
 
 def test_pointwise_multiplicative_uses_half_log_product():
     chain_ = synthetic_chain(NORM_MULT, [(4, 1, 3), (16, 1, 6), (64, 1, 9)])
     rows = pointwise(chain_)
-    # log height of (16, 1) is log(sqrt(16)) = 2 log 2; valuation 6 gives tau 3.
-    assert rows[1].log_height == pytest.approx(2 * math.log(2))
-    assert rows[1].tau == pytest.approx(3.0)
+    # Log heights are log(sqrt(4**k)) = k log 2, so valuation 3k gives tau 3.
+    assert [tau for tau, _ in rows] == pytest.approx([3.0, 3.0, 3.0])
+    # The best gap after entry 1 is 6 log 2 - 2 log 2, over the next log
+    # height 3 log 2.
+    assert rows[1][1] == pytest.approx(4 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,6 @@ def test_build_report_combines_chains(lacunary_chain_sup, lacunary_chain_mult):
     assert report.mu_times == mu_times
     assert report.hat_mu_times == hat_mu_times
     assert report.precision_limited
-    # The multiplicative chain is the primary source for pointwise rows.
-    assert report.pointwise == pointwise(lacunary_chain_mult)
-    assert report.burn_in == burn_in_index(len(lacunary_chain_mult.entries))
 
 
 def test_build_report_single_chain(lacunary_chain_mult):
@@ -156,30 +151,33 @@ def test_report_dict_shape(lacunary_chain_mult):
     report = build_report(chain_mult=lacunary_chain_mult)
     data = report_to_dict(report)
     assert data["mu"] is None
-    assert set(data["pointwise"][0]) == {
-        "k", "valuation", "log_height", "tau", "uniform_term"
+    assert set(data) == {
+        "format", "mu", "mu_times", "hat_mu", "hat_mu_times", "precision_limited"
     }
+    assert data["format"] == REPORT_FORMAT == "padic-report-v1"
 
 
 def report_text(drop: str | None = None, **changes) -> str:
-    """A well-formed one-row report, with top-level or row fields changed.
-
-    ``changes`` keys name a top-level field or ``row_<field>``; ``drop``
-    removes one row field.
-    """
-    row = {"k": 0, "valuation": 3, "log_height": 1.5, "tau": 1.4, "uniform_term": None}
+    """A well-formed report, with fields changed (``changes``) or one dropped."""
     data = {
-        "mu": None, "mu_times": 6.0, "hat_mu": None, "hat_mu_times": 3,
-        "burn_in": 2, "precision_limited": False, "pointwise": [row],
+        "format": "padic-report-v1", "mu": None, "mu_times": 6.0, "hat_mu": None,
+        "hat_mu_times": 3, "precision_limited": False,
     }
-    for name, value in changes.items():
-        if name.startswith("row_"):
-            row[name[len("row_"):]] = value
-        else:
-            data[name] = value
+    data.update(changes)
     if drop is not None:
-        del row[drop]
+        del data[drop]
     return json.dumps(data)
+
+
+# A report as written before the format field: one float row per chain entry
+# and the burn-in index of the primary chain.
+PRE_FORMAT_REPORT = json.dumps({
+    "mu": None, "mu_times": 6.0, "hat_mu": None, "hat_mu_times": 3.0,
+    "burn_in": 2, "precision_limited": False,
+    "pointwise": [
+        {"k": 0, "valuation": 3, "log_height": 1.5, "tau": 1.4, "uniform_term": None},
+    ],
+})
 
 
 def test_load_report_accepts_the_well_formed_template(tmp_path):
@@ -187,7 +185,7 @@ def test_load_report_accepts_the_well_formed_template(tmp_path):
     path.write_text(report_text())
     report = load_report(path.as_posix())
     assert report.hat_mu_times == 3.0 and isinstance(report.hat_mu_times, float)
-    assert report.pointwise[0].valuation == 3
+    assert report.mu is None and report.mu_times == 6.0
     assert report.precision_limited is False
 
 
@@ -199,25 +197,23 @@ def test_load_report_accepts_the_well_formed_template(tmp_path):
         '{"mu": 2.0}',
         '{"mu": null, "mu_times": null, "hat_mu": null, "hat_mu_times": null,'
         ' "burn_in": 2, "precision_limited": false, "pointwise": [{"tau": 1}]}',
+        pytest.param(report_text(drop="format"), id="format-absent"),
+        pytest.param(report_text(format="padic-report-v0"), id="format-v0"),
+        pytest.param(report_text(format=1), id="format-int"),
+        pytest.param(PRE_FORMAT_REPORT, id="pre-format-rows"),
+        pytest.param(report_text(drop="hat_mu"), id="no-hat_mu"),
+        pytest.param(report_text(drop="precision_limited"), id="no-precision_limited"),
         pytest.param(report_text(precision_limited="false"), id="limited-string"),
         pytest.param(report_text(precision_limited=0), id="limited-int"),
         pytest.param(report_text(mu=True), id="mu-bool"),
         pytest.param(report_text(mu="3.0"), id="mu-string"),
+        # The fields a report carried before its format was versioned.
         pytest.param(report_text(burn_in=2.9), id="burn_in-float"),
         pytest.param(report_text(burn_in=True), id="burn_in-bool"),
         pytest.param(report_text(pointwise={"k": 0}), id="pointwise-dict"),
-        pytest.param(report_text(row_k=1.7), id="k-float"),
-        pytest.param(report_text(row_k=False), id="k-bool"),
-        pytest.param(report_text(row_log_height=None), id="log_height-null"),
-        pytest.param(report_text(row_tau="1.4"), id="tau-string"),
-        pytest.param(report_text(drop="valuation"), id="no-valuation"),
-        pytest.param(report_text(drop="log_height"), id="no-log_height"),
-        pytest.param(report_text(drop="uniform_term"), id="no-uniform_term"),
         pytest.param(report_text(mu=math.inf, mu_times=math.inf), id="mu-infinity"),
         pytest.param(report_text(hat_mu_times=-math.inf), id="hat_mu_times-minus-infinity"),
         pytest.param(report_text(mu=math.nan), id="mu-nan"),
-        pytest.param(report_text(row_log_height=math.nan), id="log_height-nan"),
-        pytest.param(report_text(row_tau=math.inf), id="tau-infinity"),
         pytest.param(report_text(mu=10**400), id="mu-beyond-float-range"),
     ],
 )
@@ -228,17 +224,33 @@ def test_load_report_rejects_malformed(tmp_path, content):
         load_report(path.as_posix())
 
 
-ROW = PointwiseExponent(k=0, valuation=3, log_height=1.5, tau=1.4, uniform_term=None)
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        ('{"mu": 2.0}', "missing key(s) 'format', 'mu_times', 'hat_mu', 'hat_mu_times', "
+         "'precision_limited'"),
+        (report_text(drop="hat_mu"), "missing key(s) 'hat_mu'"),
+        (PRE_FORMAT_REPORT, "missing key(s) 'format'"),
+        (report_text(format="padic-report-v0"),
+         "'format' must be 'padic-report-v1', got 'padic-report-v0'"),
+        (report_text(format=1), "'format' must be 'padic-report-v1', got 1"),
+        (report_text(burn_in=2, pointwise=[]), "unknown key(s) 'burn_in', 'pointwise'"),
+    ],
+)
+def test_load_report_names_the_missing_or_foreign_field(tmp_path, content, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        load_report(path.as_posix())
+    assert needle in str(info.value)
 
 
 @pytest.mark.parametrize(
     "field, report",
     [
-        ("mu", ExponentReport(math.inf, math.inf, 2.0, 3.0, 2, False, ())),
-        ("hat_mu_times", ExponentReport(None, 6.0, None, -math.inf, 2, False, (ROW,))),
-        ("tau", ExponentReport(
-            None, 6.0, None, 3.0, 2, False, (dataclasses.replace(ROW, tau=math.nan),)
-        )),
+        ("mu", ExponentReport(math.inf, math.inf, 2.0, 3.0, False)),
+        ("hat_mu_times", ExponentReport(None, 6.0, None, -math.inf, False)),
+        ("hat_mu", ExponentReport(None, 6.0, math.nan, 3.0, True)),
     ],
 )
 def test_save_report_refuses_a_non_finite_field(tmp_path, field, report):

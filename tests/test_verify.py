@@ -37,9 +37,7 @@ def fake_report(**kwargs):
         mu_times=None,
         hat_mu=None,
         hat_mu_times=None,
-        burn_in=2,
         precision_limited=False,
-        pointwise=(),
     )
     fields.update(kwargs)
     return ExponentReport(**fields)
