@@ -38,6 +38,9 @@ _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _DECIMAL_CHUNK_DIGITS = 3000
 _DECIMAL_CHUNK_BITS = 9000
 
+# Decimal 2^(_DECIMAL_CHUNK_BITS * 2^j) under key j, filled by int_to_decimal.
+_DECIMAL_POWERS: dict[int, decimal.Decimal] = {}
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
@@ -250,28 +253,39 @@ def int_to_decimal(n: int) -> str:
     """Decimal text of ``n``, identical to ``str(n)`` at any length.
 
     CPython refuses ``str`` on integers past 4300 digits (a process-wide
-    setting that this module leaves alone).  Longer integers are split into
-    binary halves that are recombined in ``decimal`` arithmetic, whose
-    multiplication is sub-quadratic, and printed once.
+    setting that this module leaves alone).  Longer integers are split in
+    two at the largest size 9000 * 2^j bits below their length, and the
+    halves are recombined in ``decimal`` arithmetic, whose multiplication
+    is sub-quadratic, and printed once.  The decimal powers 2^(9000 * 2^j)
+    live in one module table, built by squaring the first time an integer
+    needs them and shared by every later one.
     """
     if n < 0:
         return "-" + int_to_decimal(-n)
     if n.bit_length() <= _DECIMAL_CHUNK_BITS:
         return str(n)
     context = exact_decimal_context()
-    powers: dict[int, decimal.Decimal] = {}
 
-    def convert(m: int, bits: int) -> decimal.Decimal:
+    def power(j: int) -> decimal.Decimal:
+        # A racing thread stores the same value under the same j.
+        if j not in _DECIMAL_POWERS:
+            if j:
+                root = power(j - 1)
+                _DECIMAL_POWERS[j] = context.multiply(root, root)
+            else:
+                _DECIMAL_POWERS[j] = decimal.Decimal(1 << _DECIMAL_CHUNK_BITS)
+        return _DECIMAL_POWERS[j]
+
+    def convert(m: int) -> decimal.Decimal:
+        bits = m.bit_length()
         if bits <= _DECIMAL_CHUNK_BITS:
             return decimal.Decimal(m)
-        half = bits >> 1
+        j = ((bits - 1) // _DECIMAL_CHUNK_BITS).bit_length() - 1
+        half = _DECIMAL_CHUNK_BITS << j
         high = m >> half
-        low = m - (high << half)
-        if half not in powers:
-            powers[half] = context.power(2, half)
-        return context.fma(convert(high, bits - half), powers[half], convert(low, half))
+        return context.fma(convert(high), power(j), convert(m - (high << half)))
 
-    return str(convert(n, n.bit_length()))
+    return str(convert(n))
 
 
 def decimal_to_int(text: str) -> int:

@@ -12,10 +12,11 @@ continued-fraction walk per visited level for the product norm.
 
 The enumeration oracle cross-validates those minimisers with a search of
 its own: level by level it scans the box for the smallest metric of a pair
-with at least that valuation (only up to the smallest metric found so far)
-and keeps the best pair of that metric.  Both chains assemble their
-minimisers through one routine, ``_records``, into the staircase of record
-pairs (strictly increasing heights and valuations).  ``uniform_minimum``
+with at least that valuation (only up to the smallest metric found so far,
+in baby and giant steps over a table of residues) and keeps the best pair
+of that metric.  Both chains assemble their minimisers through one
+routine, ``_records``, into the staircase of record pairs (strictly
+increasing heights and valuations).  ``uniform_minimum``
 evaluates the uniform (min-over-a-box) side of the problem from a chain,
 ``uniform_minimum_enum`` by the same level search: run to the deepest
 level on the box and on each box shrunk by a power of p, whose pairs it
@@ -27,7 +28,8 @@ from __future__ import annotations
 import csv
 import decimal
 import math
-from collections.abc import Callable
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -68,6 +70,12 @@ _REPR_ENTRIES = 8
 def _require_norm(norm: str) -> None:
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+
+
+def _require_int_bound(bound: int) -> None:
+    # bool is an int subclass, but True is no box.
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise ValueError(f"bound must be an int, got {bound!r}")
 
 
 def _pair_metric(pair: ApproxPair, norm: str) -> int:
@@ -276,6 +284,23 @@ def _oracle_level(
     those x while x^2 <= M as well.  The key is (-val, |x|, x < 0, y), val
     read from (y*xi - x) mod p^precision; None when M exceeds ``bound``.
 
+    The three scans share one generator, ``scan(c, m, scale)``, which yields
+    (z, t(z)) with t(z) = z*c mod m in increasing z up to the scan limit L:
+    M for the sup norm, the largest z with (scale*z)^2 <= M for the product
+    (scale p^w on the x side, 1 otherwise).  A scan keeps z only when the
+    centered residue of t(z) has magnitude at most the window W: M (sup) or
+    M // (scale*z) (product); magnitude m when t(z) is 0.  Baby steps
+    (Shanks 1971) yield every z while z^2 <= L and record t(z).  K, the
+    first z past them, cuts the rest into blocks [jK, (j + 1)K), searched
+    with the identity t(jK + a) = t(jK) + t(a) (mod m): a residue within W
+    of 0 on the circle mod m needs t(a) within W of -t(jK), and two
+    bisections of the baby residues, sorted once, find every such a (every
+    a when 2W + 1 >= m).  W is read at the block's first z, where it is
+    largest, and M only shrinks, so each block yields a superset of the z
+    that pass; each is tested exactly as in a scan of every z, so M and the
+    key are the same.  A scan costs O(sqrt(L) log L) steps and O(sqrt(L))
+    memory, plus one step per yielded z.
+
     Every pair of metric M is coprime (dividing out a common factor would
     lower the metric), and the scan offers it: a member of its residue
     class of smaller magnitude than x (or than y, for the product pairs
@@ -304,39 +329,63 @@ def _oracle_level(
             if key is None or k < key:
                 key = k
 
-    y = 1
+    def scan(c: int, m: int, scale: int = 1) -> Iterator[tuple[int, int]]:
+        # Baby steps, then giant blocks of length K = z, as described above.
+        residues = [0]  # t(a) for 0 <= a < K
+        z, t = 1, c % m
+        stop = math.isqrt(top) // scale if mult else top
+        while z * z <= stop:
+            yield z, t
+            residues.append(t)
+            z += 1
+            t = (t + c) % m
+            stop = math.isqrt(top) // scale if mult else top
+        order = sorted(range(z), key=residues.__getitem__)
+        keys = [residues[a] for a in order]
+        base, shift, step = z, t, t
+        while base <= stop:
+            width = top // (scale * base) if mult else top
+            if 2 * width + 1 >= m:
+                hits: list[int] | range = range(z)
+            else:
+                first = (-shift - width) % m
+                last = first + 2 * width
+                hits = order[bisect_left(keys, first) : bisect_right(keys, last)]
+                if last >= m:
+                    hits += order[: bisect_right(keys, last - m)]
+                hits.sort()
+            for a in hits:
+                if base + a > stop:
+                    return
+                yield base + a, (shift + residues[a]) % m
+                stop = math.isqrt(top) // scale if mult else top
+            base += z
+            shift = (shift + step) % m
+
     if not mult:
-        while y <= top:
+        for y, t in scan(low, modulus):
             if y % p:
-                t = y * low % modulus
                 size = modulus - t if 2 * t > modulus else t or modulus
                 metric = size if size > y else y
                 if metric <= top:
                     offer(metric, [(x, y) for x in _signed_residues(t, modulus)])
-            y += 1
     else:
-        while y * y <= top:
+        for y, t in scan(low, modulus):
             if y % p:
-                t = y * low % modulus
                 size = modulus - t if 2 * t > modulus else t or modulus
                 if size * y <= top:
                     offer(size * y, [(x, y) for x in _signed_residues(t, modulus)])
-            y += 1
         w, inverse = unit
         if level > w:
             scale = p**w
             unit_modulus = modulus // scale
-            inverse %= unit_modulus
-            u = 1
-            while (scale * u) ** 2 <= top:
+            for u, t in scan(inverse, unit_modulus, scale):
                 if u % p:
-                    t = u * inverse % unit_modulus
                     size = unit_modulus - t if 2 * t > unit_modulus else t or unit_modulus
                     x = scale * u
                     if x * size <= top:
                         signed = _signed_residues(t, unit_modulus)
                         offer(x * size, [(x if s > 0 else -x, abs(s)) for s in signed])
-                u += 1
     if best > bound:
         return None
     return best, key
@@ -352,7 +401,9 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     best under the key (deeper valuation, smaller |x|, positive x, smaller
     y); the level comes back empty when M_l exceeds ``bound``.  Each found
     pair is built with :func:`make_pair`, and its exact valuation must agree
-    with the scan.  Memory stays constant in the box.
+    with the scan.  A level whose scans run up to L <= ``bound`` takes
+    O(sqrt(L) log L) steps and O(sqrt(L)) memory, plus one step per
+    candidate (:func:`_oracle_level`).  ``bound`` must be an int.
 
     :func:`_records` assembles the staircase, as for :func:`chain`, so the
     two agree unless the per-level searches differ.  The staircase rules are
@@ -361,6 +412,7 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     over every level.
     """
     _require_norm(norm)
+    _require_int_bound(bound)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     n = xi.precision
@@ -420,8 +472,9 @@ def uniform_minimum(
     either a chain entry or a p-power scaling of one, so the chain answers
     the query without enumeration.  That needs the chain to have met its
     censored pair, and the box to stay below that pair's metric: from there
-    on the minimum is unknown.
+    on the minimum is unknown.  ``bound`` must be an int.
     """
+    _require_int_bound(bound)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     if chain_.p != xi.p:
@@ -456,8 +509,8 @@ def uniform_minimum_enum(
 ) -> UniformWitness:
     """Independent search for the same box minimum (no chain involved).
 
-    :func:`_oracle_level` scans only pairs with p not dividing y; three
-    facts reduce the whole box to those.
+    ``bound`` must be an int.  :func:`_oracle_level` scans only pairs with
+    p not dividing y; three facts reduce the whole box to those.
 
     1. Censored boxes.  The box holds a censored pair exactly when
        :func:`_oracle_level` at level ``precision`` finds a pair in it, so
@@ -484,6 +537,7 @@ def uniform_minimum_enum(
     valuation must agree with the search.
     """
     _require_norm(norm)
+    _require_int_bound(bound)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     p, n = xi.p, xi.precision

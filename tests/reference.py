@@ -7,7 +7,8 @@ behind a bit-length prefilter, the sup search that scores the floors and
 ceilings of the kinks of a reduced basis, digit extraction by one divmod
 per digit, the chunked valuation loop and the list scan for the product
 chain's required valuation, and the enumeration oracle and box minimum that
-build one ``ApproxPair`` per ladder candidate before sorting them.  The
+build one ``ApproxPair`` per ladder candidate before sorting them, and the
+level search that scans every y (or u) up to the best metric so far.  The
 chain crawl visits every level with the candidate-set walk, in both norms,
 and shares neither a kernel nor staircase code with the package.  The
 independence check is a plain all-pairs scan.  The Schneider
@@ -42,7 +43,7 @@ from padiclab import (
     make_pair,
 )
 from padiclab.core import decimal_to_int, int_to_decimal
-from padiclab.lattice import CHAIN_CSV_FIELDS
+from padiclab.lattice import CHAIN_CSV_FIELDS, _signed_residues
 from padiclab.walk import Vector, _height, _sup_key
 
 
@@ -477,6 +478,86 @@ def uniform_minimum_enum(xi, norm: str, bound: int) -> UniformWitness:
         pair=make_pair(xi, *best_xy),
         exponent=best_val * math.log(p) / log_height,
     )
+
+
+def linear_oracle_level(
+    xi: PAdicNumber, mult: bool, level: int, bound: int, unit: tuple[int, int]
+) -> tuple[int, tuple[int, int, bool, int]] | None:
+    """Smallest metric M <= ``bound`` of the level-``level`` lattice, and its best key.
+
+    The lattice is {x = y*xi (mod p^level), p not dividing y, x != 0}.  Per
+    y only the centered residue can minimise the metric, so the scan keeps
+    that one (both signs at +-p^level and on the half-modulus tie) and runs
+    while y <= M (sup) or y^2 <= M (product) for the best M so far.  Above
+    the zero levels, xi = p^w * eta with w = ``unit[0]``, every lattice x is
+    p^w * u with y = u / eta (mod p^(level - w)); the product norm scans
+    those x while x^2 <= M as well.  The key is (-val, |x|, x < 0, y), val
+    read from (y*xi - x) mod p^precision; None when M exceeds ``bound``.
+
+    Every pair of metric M is coprime (dividing out a common factor would
+    lower the metric), and the scan offers it: a member of its residue
+    class of smaller magnitude than x (or than y, for the product pairs
+    that the x side of the scan finds) would lower the metric too.  The one
+    gap would be a sup pair (x, M) with x off the centered residue, so
+    |x| >= p^level / 2.  Then the residue r of y = 1 < M has
+    |r| >= M >= p^level / 2, so xi vanishes mod p^level or p = 2 and
+    v(xi) = level - 1.  Every |x| is then at least p^level or p^(level - 1),
+    M is that power of p, and y = M is a multiple of p unless M = 1, where
+    +-1 are the two tie members.  So the key picks the same pair as an
+    enumeration over residue ladders.
+    """
+    p, n, value, full = xi.p, xi.precision, xi.value, xi.modulus
+    modulus = p**level
+    low = value % modulus
+    best, top, key = bound + 1, bound, None
+
+    def offer(metric: int, pairs) -> None:
+        nonlocal best, top, key
+        if metric < best:
+            best = top = metric
+            key = None
+        for x, y in pairs:
+            form = (y * value - x) % full
+            k = (-(pval(form, p) if form else n), abs(x), x < 0, y)
+            if key is None or k < key:
+                key = k
+
+    y = 1
+    if not mult:
+        while y <= top:
+            if y % p:
+                t = y * low % modulus
+                size = modulus - t if 2 * t > modulus else t or modulus
+                metric = size if size > y else y
+                if metric <= top:
+                    offer(metric, [(x, y) for x in _signed_residues(t, modulus)])
+            y += 1
+    else:
+        while y * y <= top:
+            if y % p:
+                t = y * low % modulus
+                size = modulus - t if 2 * t > modulus else t or modulus
+                if size * y <= top:
+                    offer(size * y, [(x, y) for x in _signed_residues(t, modulus)])
+            y += 1
+        w, inverse = unit
+        if level > w:
+            scale = p**w
+            unit_modulus = modulus // scale
+            inverse %= unit_modulus
+            u = 1
+            while (scale * u) ** 2 <= top:
+                if u % p:
+                    t = u * inverse % unit_modulus
+                    size = unit_modulus - t if 2 * t > unit_modulus else t or unit_modulus
+                    x = scale * u
+                    if x * size <= top:
+                        signed = _signed_residues(t, unit_modulus)
+                        offer(x * size, [(x if s > 0 else -x, abs(s)) for s in signed])
+                u += 1
+    if best > bound:
+        return None
+    return best, key
 
 
 def select_block_exponent(p: int, height: int, ell: int, mu: Fraction) -> int:

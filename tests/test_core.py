@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import random
@@ -95,6 +96,33 @@ def test_decimal_text_round_trip_past_the_str_limit(digits, seed, negative):
         # Spot-check the text against exact arithmetic on its ends.
         assert int(text[-50:]) == abs(n) % 10**50
         assert text[0] == "-" if negative else text[0] != "-"
+
+
+@given(
+    bits=st.one_of(
+        # Both sides of the 9000-bit chunk and of the first split sizes.
+        st.integers(min_value=8990, max_value=9010),
+        st.integers(min_value=17990, max_value=18010),
+        st.integers(min_value=35990, max_value=36010),
+        # Past CPython's 4300-digit str limit (about 14,284 bits).
+        st.integers(min_value=14200, max_value=14400),
+        st.integers(min_value=1, max_value=80_000),
+    ),
+    seed=st.integers(min_value=0, max_value=10**6),
+    negative=st.booleans(),
+)
+@example(bits=9000, seed=0, negative=False)
+@example(bits=9001, seed=0, negative=True)
+@example(bits=18001, seed=1, negative=False)
+@settings(max_examples=60, deadline=None)
+def test_decimal_text_matches_decimal_module_at_every_split(bits, seed, negative):
+    """Every split size against ``decimal``'s own exact integer text, which
+    no str limit applies to, and back."""
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    n = -n if negative else n
+    text = int_to_decimal(n)
+    assert text == str(decimal.Decimal(n))
+    assert decimal_to_int(text) == n
 
 
 def test_decimal_to_int_rejects_malformed_long_text():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -455,11 +458,16 @@ def test_oracle_edge_cases_match_reference(p, digits, norm, bound):
     assert fast.censored.val.value == xi.precision
 
 
+def high_valuation_number():
+    """A 30-digit 2-adic number with v_2(xi) = 12."""
+    rng = random.Random(12)
+    return from_digits(2, [0] * 12 + [1] + [rng.randrange(2) for _ in range(17)])
+
+
 def test_oracle_memory_stays_flat_at_high_valuation():
     # v_2(xi) = 12: the former oracle built one pair per ladder candidate
     # and peaked at about 63 MiB here.
-    rng = random.Random(12)
-    xi = from_digits(2, [0] * 12 + [1] + [rng.randrange(2) for _ in range(17)])
+    xi = high_valuation_number()
     tracemalloc.start()
     try:
         result = oracle_chain(xi, NORM_SUP, 10**4)
@@ -468,6 +476,88 @@ def test_oracle_memory_stays_flat_at_high_valuation():
         tracemalloc.stop()
     assert result.entries
     assert peak < 8 * 2**20
+
+
+# Steps the linear reference may spend per example on its sup scans, which
+# visit up to min(bound, p^level) values of y at each level.
+LINEAR_SCAN_BUDGET = 3 * 10**5
+
+
+@st.composite
+def oracle_level_cases(draw):
+    """(xi, mult, bound): a box log-uniform in 1..10^6, often a square or a
+    square +-1, and a number divisible by p^w (xi = 0 included) with at most
+    30 digits, fewer where the linear sup scans would exceed the budget."""
+    p = draw(st.sampled_from(PRIMES))
+    mult = draw(st.booleans())
+    bound = max(1, round(10 ** draw(st.floats(min_value=0.0, max_value=6.0))))
+    if draw(st.booleans()):
+        root = math.isqrt(bound)
+        bound = max(1, root * root + draw(st.sampled_from((-1, 0, 1))))
+    most, cost = 1, min(bound, p)
+    while most < 30:
+        cost += min(bound, p ** (most + 1))
+        if not mult and cost > LINEAR_SCAN_BUDGET:
+            break
+        most += 1
+    precision = draw(st.integers(min_value=1, max_value=most))
+    head = draw(st.integers(min_value=0, max_value=precision))
+    tail = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=p - 1),
+            min_size=precision - head,
+            max_size=precision - head,
+        )
+    )
+    return from_digits(p, [0] * head + tail), mult, bound
+
+
+@given(case=oracle_level_cases())
+# The p = 2 half-modulus tie: at level 6 every residue sits on it.
+@example(case=(from_digits(2, [0] * 5 + [1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0]), False, 200))
+@example(case=(from_digits(2, [0] * 5 + [1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0]), True, 3000))
+# xi = 0: at level 10 the sup window top = 1024 = p^level covers the whole
+# circle in every giant block.
+@example(case=(from_digits(2, [0] * 10), False, 1100))
+# Boxes past p^precision: the level-precision minimiser is censored.
+@example(case=(from_digits(5, [3, 1, 4, 1]), True, 625))
+@example(case=(from_digits(3, [2, 1, 0, 2, 2]), False, 243))
+@example(case=(high_valuation_number(), False, 10**4))
+@example(case=(high_valuation_number(), True, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_oracle_level_matches_linear_scan(case):
+    """Baby and giant steps find the same (metric, key), or None, as the
+    scan of every y (and u) at every level."""
+    xi, mult, bound = case
+    unit = lattice._unit_part(xi)
+    for level in range(1, xi.precision + 1):
+        assert lattice._oracle_level(xi, mult, level, bound, unit) == (
+            reference.linear_oracle_level(xi, mult, level, bound, unit)
+        )
+
+
+def test_oracle_bound_scales_as_a_square_root():
+    """Boxes of 10^7 (sup) and 10^10 (product) on a 96-digit number: the
+    oracle agrees with the walk's chains up to the box, in well under the
+    time a scan of every y would take (about 6 s)."""
+    xi = seeded_xi(2, 96, 96)
+    start = time.perf_counter()
+    oracles = {
+        NORM_SUP: oracle_chain(xi, NORM_SUP, 10**7),
+        NORM_MULT: oracle_chain(xi, NORM_MULT, 10**10),
+    }
+    elapsed = time.perf_counter() - start
+    for norm, oracle in oracles.items():
+        bound = 10**7 if norm == NORM_SUP else 10**10
+        walk = chain(xi, norm)
+        expected = [
+            triple
+            for triple, metric in zip(entry_triples(walk), walk.metrics())
+            if metric <= bound
+        ]
+        assert len(expected) > 10
+        assert entry_triples(oracle) == expected
+    assert elapsed < 2.0
 
 
 @given(
@@ -1020,6 +1110,20 @@ def test_library_rejects_out_of_range_bounds_and_foreign_chains():
     other_prime = chain(from_digits(3, [1, 2, 0, 1, 1, 2, 0, 1, 2, 2]), NORM_SUP)
     with pytest.raises(ValueError, match="does not match"):
         uniform_minimum(xi, other_prime, 4)
+
+
+@pytest.mark.parametrize("bound", [10.5, True, "100", Fraction(7)])
+def test_library_refuses_bounds_that_are_not_ints(bound):
+    xi = from_digits(2, [1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
+    sup_chain = chain(xi, NORM_SUP)
+    for call in (
+        lambda: oracle_chain(xi, NORM_SUP, bound),
+        lambda: uniform_minimum(xi, sup_chain, bound),
+        lambda: uniform_minimum_enum(xi, NORM_SUP, bound),
+    ):
+        message = re.escape(f"bound must be an int, got {bound!r}")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_chain_repr_past_the_str_limit():
