@@ -13,14 +13,14 @@ continued-fraction walk per visited level for the product norm.
 The enumeration oracle cross-validates those minimisers with a search of
 its own: level by level it scans the box for the smallest metric of a pair
 with at least that valuation (only up to the smallest metric found so far,
-in baby and giant steps over a table of residues) and keeps the best pair
-of that metric.  Both chains assemble their minimisers through one
-routine, ``_records``, into the staircase of record pairs (strictly
-increasing heights and valuations).  ``uniform_minimum``
-evaluates the uniform (min-over-a-box) side of the problem from a chain,
-``uniform_minimum_enum`` by the same level search: run to the deepest
-level on the box and on each box shrunk by a power of p, whose pairs it
-scales back.
+in baby and giant steps over a table of residues; the levels up to v_p(xi)
+in closed form) and keeps the best pair of that metric.  Both chains
+assemble their minimisers through one routine, ``_records``, into the
+staircase of record pairs (strictly increasing heights and valuations).
+``uniform_minimum`` evaluates the uniform (min-over-a-box) side of the
+problem from a chain, ``uniform_minimum_enum`` by the same level search:
+run to the deepest level on the box and on each box shrunk by a power of
+p, whose pairs it scales back.
 """
 
 from __future__ import annotations
@@ -301,20 +301,63 @@ def _oracle_level(
     key are the same.  A scan costs O(sqrt(L) log L) steps and O(sqrt(L))
     memory, plus one step per yielded z.
 
+    The zero levels, level <= w, need no scan.  There every residue is 0,
+    so every lattice x is a nonzero multiple of p^level and M = p^level in
+    both norms (None when that exceeds ``bound``).  The pairs of that
+    metric are (+-p^level, y) with y <= p^level for the sup norm and
+    (+-p^level, 1) for the product, so |x| = p^level in every key.
+    Write x = s*p^level with s = +-1.
+
+    * Below w, y*xi vanishes mod p^(level + 1), so the form y*xi - x has
+      valuation exactly level.  When xi vanishes to the precision
+      (w = n), the form is -x mod p^n: valuation level below n, censored
+      at n on level n.  Either way all pairs tie on the valuation, and
+      (p^level, 1) wins with the key (-level, p^level, False, 1).
+    * At level w < n, y*xi - s*p^w = p^w (y*eta - s), so the valuation
+      is w + k with k = v(y - T) capped at n - w (censored at the cap),
+      where T = s/eta mod p^(n - w), read from ``unit[1]``.  The product
+      pair has y = 1.  A sup y <= p^w reaches k exactly when
+      y = T (mod p^k), and the least positive such y is T mod p^k, a unit
+      because T is.  For k <= w it lies below p^w.  For k > w it is
+      (T mod p^w) + p^w * (the digits w .. k - 1 of T), at most p^w only
+      when those digits vanish.  So the deepest k is n - w when T < p^w,
+      as it is whenever n - w <= w, and then y = T.  Otherwise it is
+      w + v(floor(T / p^w)), below n - w since T < p^(n - w).  Of the two
+      signs the deeper key wins, and x > 0 on a tie.  A level costs O(1)
+      big-integer operations.
+
     Every pair of metric M is coprime (dividing out a common factor would
     lower the metric), and the scan offers it: a member of its residue
     class of smaller magnitude than x (or than y, for the product pairs
     that the x side of the scan finds) would lower the metric too.  The one
     gap would be a sup pair (x, M) with x off the centered residue, so
     |x| >= p^level / 2.  Then the residue r of y = 1 < M has
-    |r| >= M >= p^level / 2, so xi vanishes mod p^level or p = 2 and
-    v(xi) = level - 1.  Every |x| is then at least p^level or p^(level - 1),
-    M is that power of p, and y = M is a multiple of p unless M = 1, where
-    +-1 are the two tie members.  So the key picks the same pair as an
-    enumeration over residue ladders.
+    |r| >= M >= p^level / 2.  Above the zero levels r is not 0, so p = 2
+    and v(xi) = level - 1.  Every |x| is then at least p^(level - 1) and
+    M <= |r| = p^(level - 1), so M is that power of p, and y = M is a
+    multiple of p unless M = 1, where +-1 are the two tie members.  So the
+    key picks the same pair as an enumeration over residue ladders.
     """
     p, n, value, full = xi.p, xi.precision, xi.value, xi.modulus
     modulus = p**level
+    w, inverse = unit
+    if level <= w:
+        if modulus > bound:
+            return None
+        if level < w or w == n:
+            return modulus, (-level, modulus, False, 1)
+        unit_modulus = p ** (n - w)
+        keys = []
+        for t, negative in ((inverse, False), (unit_modulus - inverse, True)):
+            if mult:
+                k, y = (n - w if t == 1 else pval(t - 1, p)), 1
+            elif t < modulus:
+                k, y = n - w, t
+            else:
+                k = w + pval(t // modulus, p)
+                y = mod_power(t, p, k)
+            keys.append((-(w + k), modulus, negative, y))
+        return modulus, min(keys)
     low = value % modulus
     best, top, key = bound + 1, bound, None
 
@@ -375,17 +418,15 @@ def _oracle_level(
                 size = modulus - t if 2 * t > modulus else t or modulus
                 if size * y <= top:
                     offer(size * y, [(x, y) for x in _signed_residues(t, modulus)])
-        w, inverse = unit
-        if level > w:
-            scale = p**w
-            unit_modulus = modulus // scale
-            for u, t in scan(inverse, unit_modulus, scale):
-                if u % p:
-                    size = unit_modulus - t if 2 * t > unit_modulus else t or unit_modulus
-                    x = scale * u
-                    if x * size <= top:
-                        signed = _signed_residues(t, unit_modulus)
-                        offer(x * size, [(x if s > 0 else -x, abs(s)) for s in signed])
+        scale = p**w
+        unit_modulus = modulus // scale
+        for u, t in scan(inverse, unit_modulus, scale):
+            if u % p:
+                size = unit_modulus - t if 2 * t > unit_modulus else t or unit_modulus
+                x = scale * u
+                if x * size <= top:
+                    signed = _signed_residues(t, unit_modulus)
+                    offer(x * size, [(x if s > 0 else -x, abs(s)) for s in signed])
     if best > bound:
         return None
     return best, key
@@ -401,9 +442,11 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     best under the key (deeper valuation, smaller |x|, positive x, smaller
     y); the level comes back empty when M_l exceeds ``bound``.  Each found
     pair is built with :func:`make_pair`, and its exact valuation must agree
-    with the scan.  A level whose scans run up to L <= ``bound`` takes
-    O(sqrt(L) log L) steps and O(sqrt(L)) memory, plus one step per
-    candidate (:func:`_oracle_level`).  ``bound`` must be an int.
+    with the scan.  A zero level (level <= v_p(xi)) takes O(1) big-integer
+    operations, in closed form.  Any other level, whose scans run up to
+    L <= ``bound``, takes O(sqrt(L) log L) steps and O(sqrt(L)) memory,
+    plus one step per candidate (:func:`_oracle_level`).  ``bound`` must be
+    an int.
 
     :func:`_records` assembles the staircase, as for :func:`chain`, so the
     two agree unless the per-level searches differ.  The staircase rules are

@@ -524,16 +524,58 @@ def oracle_level_cases(draw):
 @example(case=(from_digits(3, [2, 1, 0, 2, 2]), False, 243))
 @example(case=(high_valuation_number(), False, 10**4))
 @example(case=(high_valuation_number(), True, 10**6))
+# Boxes below p^w = 4096: even the zero levels near w come back empty.
+@example(case=(high_valuation_number(), False, 1000))
+@example(case=(high_valuation_number(), True, 1000))
+# w = 1 and w = precision - 1.
+@example(case=(from_digits(3, [0, 2, 1, 0, 2, 1, 1, 2]), False, 10**4))
+@example(case=(from_digits(3, [0, 2, 1, 0, 2, 1, 1, 2]), True, 10**5))
+@example(case=(from_digits(2, [0] * 11 + [1]), False, 10**4))
+@example(case=(from_digits(2, [0] * 11 + [1]), True, 10**6))
+# xi = 0 in the product norm: every level is a zero level, the last censored.
+@example(case=(from_digits(2, [0] * 10), True, 5000))
+@example(case=(from_digits(3, [0] * 6), True, 2000))
+# Censored at level w: 1/eta is 2 (x > 0) and -3 (x < 0) modulo p^(n - w),
+# below p^w.
+@example(case=(from_rational(3, 3**4, 2, 12), False, 10**4))
+@example(case=(from_rational(3, 3**4, 2, 12), True, 10**6))
+@example(case=(from_rational(2, -(2**5), 3, 16), False, 10**4))
+@example(case=(from_rational(2, -(2**5), 3, 16), True, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_oracle_level_matches_linear_scan(case):
-    """Baby and giant steps find the same (metric, key), or None, as the
-    scan of every y (and u) at every level."""
+    """Baby and giant steps, and the closed form of the zero levels, find
+    the same (metric, key), or None, as the scan of every y (and u) at
+    every level."""
     xi, mult, bound = case
     unit = lattice._unit_part(xi)
     for level in range(1, xi.precision + 1):
         assert lattice._oracle_level(xi, mult, level, bound, unit) == (
             reference.linear_oracle_level(xi, mult, level, bound, unit)
         )
+
+
+@pytest.mark.parametrize("mult", [False, True])
+def test_zero_levels_value_a_constant_number_of_forms(monkeypatch, mult):
+    """Levels 1..w of a number with v_2(xi) = w = 12 are read in closed form;
+    a scan valued every y <= 2^12 at level w, about 4,000 pval calls."""
+    xi = high_valuation_number()
+    unit = lattice._unit_part(xi)
+    assert unit[0] == 12
+    calls = []
+
+    def counting_pval(n, p):
+        calls.append(n)
+        return pval(n, p)
+
+    monkeypatch.setattr(lattice, "pval", counting_pval)
+    found = [
+        lattice._oracle_level(xi, mult, level, 10**6, unit) for level in range(1, 13)
+    ]
+    assert len(calls) <= 2
+    assert found == [
+        reference.linear_oracle_level(xi, mult, level, 10**6, unit)
+        for level in range(1, 13)
+    ]
 
 
 def test_oracle_bound_scales_as_a_square_root():
@@ -558,6 +600,22 @@ def test_oracle_bound_scales_as_a_square_root():
         assert len(expected) > 10
         assert entry_triples(oracle) == expected
     assert elapsed < 2.0
+
+
+def test_oracle_matches_the_walk_in_deep_boxes():
+    """Sup boxes of 10^10 and product boxes of 10^18 on a 160-digit number:
+    the oracle chains are the prefixes of the walk's chains below them.  No
+    time is asserted; the pair takes about 2 s."""
+    xi = seeded_xi(2, 160, 160)
+    for norm, bound in ((NORM_SUP, 10**10), (NORM_MULT, 10**18)):
+        walk = chain(xi, norm)
+        expected = [
+            triple
+            for triple, metric in zip(entry_triples(walk), walk.metrics())
+            if metric <= bound
+        ]
+        assert len(expected) > 30
+        assert entry_triples(oracle_chain(xi, norm, bound)) == expected
 
 
 @given(
@@ -715,6 +773,17 @@ def thirty_digit_box(p, seed, norm, fraction):
     return thirty_digit_number(p, seed), norm, bound
 
 
+def high_valuation_box(p, seed, norm, fraction):
+    """30 digits divisible by p^w with p^w <= 4096 (w up to 12 at p = 2), and
+    a box log-uniform up to 2 p^w (sup) or 10^5 (product), so on either side
+    of p^w: every shrunk box starts on the zero levels again."""
+    rng = random.Random(seed)
+    w = rng.randint(1, ilog(4096, p))
+    digits = [0] * w + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(29 - w)]
+    cap = 2 * p**w if norm == NORM_SUP else UNIFORM_BOX_CAPS[NORM_MULT]
+    return from_digits(p, digits), norm, max(2, round(cap**fraction))
+
+
 @given(
     box=st.one_of(
         *(
@@ -725,11 +794,16 @@ def thirty_digit_box(p, seed, norm, fraction):
                 norm=st.sampled_from(NORMS),
                 fraction=st.floats(min_value=0.0, max_value=1.0),
             )
-            for make_box in (short_box, thirty_digit_box)
+            for make_box in (short_box, thirty_digit_box, high_valuation_box)
         )
     )
 )
-@settings(max_examples=300, deadline=None)
+# v_2(xi) = 12: boxes below and above 2^12, in both norms.
+@example(box=(high_valuation_number(), NORM_SUP, 3000))
+@example(box=(high_valuation_number(), NORM_SUP, 8000))
+@example(box=(high_valuation_number(), NORM_MULT, 3000))
+@example(box=(high_valuation_number(), NORM_MULT, 10**5))
+@settings(max_examples=400, deadline=None)
 def test_uniform_minimum_enum_matches_reference(box):
     assert witness_or_error(uniform_minimum_enum, *box) == (
         witness_or_error(reference.uniform_minimum_enum, *box)
