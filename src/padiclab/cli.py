@@ -69,12 +69,18 @@ def _parse_growth(text: str) -> float:
     return d
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed fraction {text!r}") from exc
+
+
 def _parse_mu_seq(text: str) -> list[Fraction]:
     try:
-        values = [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        return [_parse_fraction(part) for part in text.split(",")]
+    except ValueError as exc:
         raise ValueError(f"malformed exponent sequence {text!r}") from exc
-    return values
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -196,15 +202,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if args.ledger:
             schneider_ledger_csv(state, args.ledger)
     else:  # surgery
-        witness = build_ratio_witness(
+        xi = build_ratio_witness(
             args.p,
-            Fraction(args.t),
-            Fraction(args.mu),
+            _parse_fraction(args.t),
+            _parse_fraction(args.mu),
             sigma1_target=args.sigma1,
             gap_multiplier=args.gap_multiplier,
             num_spikes=args.spikes,
-        )
-        xi = witness.xi
+        ).xi
     save_digit_file(xi, args.out)
     print(f"wrote {xi.precision} base-{xi.p} digits to {args.out}")
     return 0

@@ -221,12 +221,14 @@ def cross_check_uniform(
     chain_: BestApproxChain,
     samples: int = 5,
 ) -> list[dict]:
-    """Compare the chain-based box minimum against direct enumeration.
+    """Compare the box minima read off ``chain_`` and off the oracle chain.
 
+    Both read a box through one rule, which the tests check against a scan
+    of every ladder candidate that shares no code with it or ``_records``,
+    so this compares the walk's records below each box with the oracle's.
     Bounds sit just below chain heights (where the uniform exponent dips),
-    one per sampled entry.  Each record carries both witnesses and their
-    exact-valuation discrepancy; ``ok`` requires identical valuations,
-    identical minimising pairs and exponents within 1e-9.
+    one per sampled entry.  A record holds both witnesses, their discrepancy
+    and ``ok``: identical valuations and pairs, exponents within 1e-9.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

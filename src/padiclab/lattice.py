@@ -10,17 +10,13 @@ Per-level minimisers on the congruence lattices ``{(x, y) : x = y * xi
 level to level for the sup norm (de Weger 1986; Kaib & Schnorr 1996), a
 continued-fraction walk per visited level for the product norm.
 
-The enumeration oracle cross-validates those minimisers with a search of
-its own: level by level it scans the box for the smallest metric of a pair
-with at least that valuation (only up to the smallest metric found so far,
-in baby and giant steps over a table of residues; the levels up to v_p(xi)
-in closed form) and keeps the best pair of that metric.  Both chains
-assemble their minimisers through one routine, ``_records``, into the
-staircase of record pairs (strictly increasing heights and valuations).
-``uniform_minimum`` evaluates the uniform (min-over-a-box) side of the
-problem from a chain, ``uniform_minimum_enum`` by the same level search:
-run to the deepest level on the box and on each box shrunk by a power of
-p, whose pairs it scales back.
+The enumeration oracle, ``oracle_chain``, cross-validates those minimisers
+with a level search of its own.  Both chains assemble their minimisers
+through one routine, ``_records``, into the staircase of record pairs
+(strictly increasing heights and valuations).  Both box minima read a box
+off a chain's records through one rule, ``_box_minimum``: the uniform
+(min-over-a-box) side of the problem, ``uniform_minimum`` off the walk's
+chain and ``uniform_minimum_enum`` off the oracle chain cut at the box.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .core import (
     Valuation,
     decimal_to_int,
     exact_decimal_context,
+    from_rational,
     ilog,
     int_to_decimal,
     is_prime,
@@ -259,15 +256,12 @@ def _signed_residues(t: int, modulus: int) -> tuple[int, ...]:
 
 
 def _unit_part(xi: PAdicNumber) -> tuple[int, int]:
-    """(w, 1/eta mod p^(precision - w)) for xi = p^w * eta, eta a unit.
-
-    (precision, 0) when xi vanishes to the precision.
-    """
+    """(w, 1/eta mod p^(n - w)) for xi = p^w * eta, eta a unit; (n, 0) for xi = 0."""
     p, n, value = xi.p, xi.precision, xi.value
     if value == 0:
         return n, 0
     w = pval(value, p)
-    return w, pow(value // p**w, -1, p ** (n - w))
+    return w, from_rational(p, 1, value // p**w, n - w).value
 
 
 def _oracle_level(
@@ -442,11 +436,9 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     best under the key (deeper valuation, smaller |x|, positive x, smaller
     y); the level comes back empty when M_l exceeds ``bound``.  Each found
     pair is built with :func:`make_pair`, and its exact valuation must agree
-    with the scan.  A zero level (level <= v_p(xi)) takes O(1) big-integer
-    operations, in closed form.  Any other level, whose scans run up to
-    L <= ``bound``, takes O(sqrt(L) log L) steps and O(sqrt(L)) memory,
-    plus one step per candidate (:func:`_oracle_level`).  ``bound`` must be
-    an int.
+    with the scan.  A level up to v_p(xi) costs O(1) big-integer operations;
+    one above, whose scans run up to L <= ``bound``, O(sqrt(L) log L) steps
+    and O(sqrt(L)) memory, plus one per candidate.  ``bound`` must be an int.
 
     :func:`_records` assembles the staircase, as for :func:`chain`, so the
     two agree unless the per-level searches differ.  The staircase rules are
@@ -492,17 +484,43 @@ class UniformWitness:
     exponent: float
 
 
-def _box_witness(
-    xi: PAdicNumber, norm: str, bound: int, key: tuple[int, int, int, bool, int]
+def _box_minimum(
+    xi: PAdicNumber, chain_: BestApproxChain, bound: int, empty: str
 ) -> UniformWitness:
-    """The witness of the box minimum keyed (-val, metric, |x|, x < 0, y)."""
-    neg_val, _, size, negative, y = key
+    """The deepest p-power scaling of an entry of metric <= ``bound``.
+
+    Scalings compete under the key (deeper valuation, smaller metric,
+    smaller |x|, positive x, smaller y); ``empty`` is raised when no entry
+    is in the box.  Given every record of metric <= ``bound``, this is the
+    box minimum: records beat all other pairs with p not dividing y and
+    valuation >= 1, and no other pair wins.
+
+    * A box pair of valuation >= 1 with p | y also has p | x: it is p times
+      a pair of valuation one less, and common factors prime to p only
+      raise the metric.  So every winner scales a pair with p not dividing y.
+    * A valuation-0 base scaled by p^m never wins: its metric is at least
+      p^m (or p^(2m)), so the box holds p^(m - 1) times the level-1 pair
+      (y = 1, metric <= p), as deep or deeper, no larger and of smaller y.
+    """
+    p, norm = xi.p, chain_.norm
+    base = p * p if norm == NORM_MULT else p
+    keys = []
+    for pair in chain_.entries:
+        metric = _pair_metric(pair, norm)
+        if metric > bound:
+            break
+        m = ilog(bound // metric, base)
+        size, y = abs(pair.x) * p**m, pair.y * p**m
+        keys.append((-pair.val.value - m, metric * base**m, size, pair.x < 0, y))
+    if not keys:
+        raise ValueError(empty)
+    neg_val, _, size, negative, y = min(keys)
     val = -neg_val
     pair = make_pair(xi, -size if negative else size, y)
     if pair.val != Valuation.exact(val):
         raise AssertionError("box minimum disagrees with the exact valuation")
     log_height = math.log(bound) / (2.0 if norm == NORM_MULT else 1.0)
-    return UniformWitness(norm, bound, val, pair, val * math.log(xi.p) / log_height)
+    return UniformWitness(norm, bound, val, pair, val * math.log(p) / log_height)
 
 
 def uniform_minimum(
@@ -511,106 +529,46 @@ def uniform_minimum(
     """Exact minimum of |y*xi - x|_p over the box of size ``bound``.
 
     ``bound`` caps ``max(|x|, |y|)`` for the chain's classical norm and the
-    product ``|x * y|`` for its multiplicative norm.  The minimiser is
-    either a chain entry or a p-power scaling of one, so the chain answers
-    the query without enumeration.  That needs the chain to have met its
-    censored pair, and the box to stay below that pair's metric: from there
-    on the minimum is unknown.  ``bound`` must be an int.
+    product ``|x * y|`` for its multiplicative norm.  The minimiser is a
+    p-power scaling of a chain entry (:func:`_box_minimum`), so the chain
+    answers the query without enumeration.  That needs the chain to have
+    met its censored pair, and the box to stay below that pair's metric:
+    from there on the minimum is unknown.  ``bound`` must be an int.
     """
     _require_int_bound(bound)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     if chain_.p != xi.p:
         raise ValueError("chain does not match the prime of the number")
-    norm = chain_.norm
     if chain_.censored is None:
         raise ValueError(
             "chain met no censored pair: boxes past its last entry are unknown"
         )
-    if bound >= _pair_metric(chain_.censored, norm):
+    if bound >= _pair_metric(chain_.censored, chain_.norm):
         raise ValueError(
             "bound too large for this precision: the box holds a censored pair"
         )
-    p = xi.p
-    base = p * p if norm == NORM_MULT else p
-    keys = []
-    for pair in chain_.entries:
-        metric = _pair_metric(pair, norm)
-        if metric > bound:
-            break
-        m = ilog(bound // metric, base)
-        scale = p**m
-        size, y = abs(pair.x) * scale, pair.y * scale
-        keys.append((-pair.val.value - m, metric * base**m, size, pair.x < 0, y))
-    if not keys:
-        raise ValueError("bound lies below the first chain height")
-    return _box_witness(xi, norm, bound, min(keys))
+    return _box_minimum(xi, chain_, bound, "bound lies below the first chain height")
 
 
-def uniform_minimum_enum(
-    xi: PAdicNumber, norm: str, bound: int
-) -> UniformWitness:
-    """Independent search for the same box minimum (no chain involved).
+def uniform_minimum_enum(xi: PAdicNumber, norm: str, bound: int) -> UniformWitness:
+    """The same box minimum read off the oracle chain (no walk involved).
 
-    ``bound`` must be an int.  :func:`_oracle_level` scans only pairs with
-    p not dividing y; three facts reduce the whole box to those.
-
-    1. Censored boxes.  The box holds a censored pair exactly when
-       :func:`_oracle_level` at level ``precision`` finds a pair in it, so
-       exactly when the level search below ends on a hit of valuation
-       ``precision``: a censored pair with p^e | y is p^e times a censored
-       pair with p not dividing y, which sits in the same box.  Such a box
-       raises, since its minimum is unknown.
-    2. Every winner is a p-power scaling.  A box pair of valuation at
-       least 1 with p | y also has p | x, so it is p times a pair of
-       valuation one less; common factors prime to p only raise the metric.
-       So for each m >= 0 with p^m <= bound (sup) or p^(2m) <= bound
-       (product) the search runs over the box bound // p^m (or
-       bound // p^(2m)), starting at level 1 and stepping to val + 1 until
-       the level comes back empty.  The last hit, scaled by p^m, competes
-       under the key (deeper valuation, smaller metric, smaller |x|,
-       positive x, smaller y).
-    3. A scaled valuation-0 base never wins.  Its metric is at least p^m
-       (or p^(2m)), so at m - 1 the box bound // p^(m - 1) >= p (or p^2)
-       holds a level-1 pair of metric at most p, through y = 1.  Scaled by
-       p^(m - 1), that pair reaches at least as deep with a smaller or
-       equal metric, and a smaller y on a tie.
-
-    Only the winner is built with :func:`make_pair`, and its exact
-    valuation must agree with the search.
+    :func:`oracle_chain` searches the box once, and :func:`_box_minimum`
+    reads it.  That is exact: a level comes back empty only past ``bound``,
+    so the chain holds every record of metric <= ``bound``, and it meets a
+    censored pair exactly when the box holds one (p^e times a censored pair
+    with p not dividing y, which lies in the box and on every level), where
+    the minimum is unknown and this raises.  ``bound`` must be an int.
     """
     _require_norm(norm)
     _require_int_bound(bound)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    p, n = xi.p, xi.precision
-    mult = norm == NORM_MULT
-    unit = _unit_part(xi)
-    step = p * p if mult else p
-    keys = []
-    m, box = 0, bound
-    while box:
-        level, hit = 1, None
-        while level <= n:
-            found = _oracle_level(xi, mult, level, box, unit)
-            if found is None:
-                break
-            hit = found
-            level = 1 - found[1][0]
-        if hit is None:  # nor does any smaller box hold a level-1 pair
-            break
-        metric, (neg_val, size, negative, y) = hit
-        if neg_val == -n:
-            raise ValueError(
-                "bound too large for this precision: censored valuation met"
-            )
-        scale = p**m
-        keys.append((neg_val - m, metric * step**m, size * scale, negative, y * scale))
-        m += 1
-        box //= step
-    if not keys:
-        raise ValueError("no nonzero pair found inside the box")
-    return _box_witness(xi, norm, bound, min(keys))
+    oracle = oracle_chain(xi, norm, bound)
+    if oracle.censored is not None:
+        raise ValueError("bound too large for this precision: censored valuation met")
+    return _box_minimum(xi, oracle, bound, "no nonzero pair found inside the box")
 
 
 # ---------------------------------------------------------------------------

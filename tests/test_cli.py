@@ -401,6 +401,12 @@ def test_verify_flag_validation_exits_2(tmp_path, capsys, argv_tail, needle):
          "malformed exponent sequence"),
         (("construct", "schneider", "--p", "2", "--mu", "1000", "--steps", "3"),
          "exceeds digit cap"),
+        (("construct", "surgery", "--p", "2", "--t", "1/0", "--mu", "6"),
+         "malformed fraction '1/0'"),
+        (("construct", "surgery", "--p", "2", "--t", "3/2", "--mu", "6/0"),
+         "malformed fraction '6/0'"),
+        (("construct", "surgery", "--p", "2", "--t", "x", "--mu", "6"),
+         "malformed fraction 'x'"),
         (("sweep", "--p", "2", "--grid", "2.5,x"), "malformed grid"),
         (("sweep", "--p", "2", "--grid", ""), "malformed grid"),
         (("estimate", "--chain", "{chain}", "--p", "2", "--norm", "sup",

@@ -28,6 +28,7 @@ from padiclab import (
     chain_from_entries,
     from_digits,
     from_rational,
+    from_value,
     ilog,
     load_chain_entries,
     make_pair,
@@ -512,6 +513,17 @@ def oracle_level_cases(draw):
     return from_digits(p, [0] * head + tail), mult, bound
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_unit_part_inverts_the_unit(p):
+    n = 24
+    for w in (0, 1, n - 1):
+        xi = from_value(p, p**w * (p - 1 + p * 12345 * (w + 1)), n)
+        valuation, inverse = lattice._unit_part(xi)
+        assert valuation == w
+        assert inverse * (xi.value // p**w) % p ** (n - w) == 1
+    assert lattice._unit_part(from_value(p, 0, n)) == (n, 0)
+
+
 @given(case=oracle_level_cases())
 # The p = 2 half-modulus tie: at level 6 every residue sits on it.
 @example(case=(from_digits(2, [0] * 5 + [1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0]), False, 200))
@@ -776,7 +788,7 @@ def thirty_digit_box(p, seed, norm, fraction):
 def high_valuation_box(p, seed, norm, fraction):
     """30 digits divisible by p^w with p^w <= 4096 (w up to 12 at p = 2), and
     a box log-uniform up to 2 p^w (sup) or 10^5 (product), so on either side
-    of p^w: every shrunk box starts on the zero levels again."""
+    of p^w: the oracle chain of the box starts on the zero levels."""
     rng = random.Random(seed)
     w = rng.randint(1, ilog(4096, p))
     digits = [0] * w + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(29 - w)]
@@ -803,6 +815,14 @@ def high_valuation_box(p, seed, norm, fraction):
 @example(box=(high_valuation_number(), NORM_SUP, 8000))
 @example(box=(high_valuation_number(), NORM_MULT, 3000))
 @example(box=(high_valuation_number(), NORM_MULT, 10**5))
+# The boxes of the benchmark's oracle jobs: sup 10^4 and product 10^6.
+@example(box=(thirty_digit_number(2, 0), NORM_SUP, 10**4))
+@example(box=(thirty_digit_number(2, 0), NORM_MULT, 10**6))
+@example(box=(thirty_digit_number(3, 0), NORM_SUP, 10**4))
+@example(box=(thirty_digit_number(3, 0), NORM_MULT, 10**6))
+@example(box=(thirty_digit_number(5, 0), NORM_SUP, 10**4))
+@example(box=(thirty_digit_number(5, 0), NORM_MULT, 10**6))
+@example(box=(high_valuation_number(), NORM_MULT, 10**6))
 @settings(max_examples=400, deadline=None)
 def test_uniform_minimum_enum_matches_reference(box):
     assert witness_or_error(uniform_minimum_enum, *box) == (
@@ -849,13 +869,15 @@ def test_uniform_minimum_enum_edge_cases_match_reference(
 )
 @settings(max_examples=40, deadline=None)
 def test_uniform_minimum_matches_enumeration_at_every_bound(p, seed, norm):
-    """Up to p^precision, which is past the censored pair's metric."""
+    """Up to p^precision, which is past the censored pair's metric.  Both
+    library sides read the box through one rule, so the reference, which
+    scans every ladder candidate, checks that rule."""
     xi = short_number(p, seed, 128)
     chain_ = chain(xi, norm)
     for bound in range(2, xi.p**xi.precision + 1):
-        assert witness_or_error(uniform_minimum, xi, chain_, bound) == (
-            witness_or_error(uniform_minimum_enum, xi, norm, bound)
-        )
+        expected = witness_or_error(reference.uniform_minimum_enum, xi, norm, bound)
+        assert witness_or_error(uniform_minimum, xi, chain_, bound) == expected
+        assert witness_or_error(uniform_minimum_enum, xi, norm, bound) == expected
 
 
 def test_uniform_minimum_refuses_cut_chains_and_censored_boxes():
