@@ -456,7 +456,11 @@ class RatioWitness:
     ``truncation_pairs[j]`` is the integer approximant that keeps digits up
     to the j-th interval start (paired with denominator 1); ``spike_pairs``
     are the transplanted source approximations.  Target pointwise exponents
-    are mu for the former and t*mu for the latter.
+    are mu for the former and t*mu for the latter.  Truncation pairs have
+    y = 1, so their product exponent is twice their classical one (about
+    2*mu); spike pairs are balanced, about t*mu in both norms.  So the
+    designed pairs imply (mu, mu^x) = (t*mu, 2*mu), a ratio of 2/t that
+    covers the paper's [1, 2] as t does.  ``estimate`` reads 2.00 at every t.
     """
 
     p: int

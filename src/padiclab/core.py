@@ -267,7 +267,6 @@ def int_to_decimal(n: int) -> str:
     context = exact_decimal_context()
 
     def power(j: int) -> decimal.Decimal:
-        # A racing thread stores the same value under the same j.
         if j not in _DECIMAL_POWERS:
             if j:
                 root = power(j - 1)

@@ -25,8 +25,8 @@ from .lattice import (
     NORM_MULT,
     NORM_SUP,
     BestApproxChain,
+    oracle_chain,
     uniform_minimum,
-    uniform_minimum_enum,
 )
 from .core import PAdicNumber
 
@@ -223,39 +223,42 @@ def cross_check_uniform(
 ) -> list[dict]:
     """Compare the box minima read off ``chain_`` and off the oracle chain.
 
-    Both read a box through one rule, which the tests check against a scan
-    of every ladder candidate that shares no code with it or ``_records``,
-    so this compares the walk's records below each box with the oracle's.
-    Bounds sit just below chain heights (where the uniform exponent dips),
-    one per sampled entry.  A record holds both witnesses, their discrepancy
-    and ``ok``: identical valuations and pairs, exponents within 1e-9.
+    Both are read by :func:`uniform_minimum`, which the tests check against
+    a scan of every ladder candidate that shares no code with it or
+    ``_records``, so this compares the walk's records below each box with
+    the oracle's.  Bounds sit just below chain heights (where the uniform
+    exponent dips), one per sampled entry.  One oracle chain, searched in
+    the largest box, answers them all: a smaller box's level search stops at
+    the first level whose minimum exceeds it, so its chain is a prefix.  A
+    record holds both witnesses, their discrepancy and ``ok``: identical
+    valuations and pairs, exponents within 1e-9.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    records: list[dict] = []
     metrics = chain_.metrics()
-    for k in _sample_indices(len(metrics) - 2, samples):
-        bound = metrics[k + 1] - 1
-        if bound < 2:
-            continue
-        fast = uniform_minimum(xi, chain_, bound)
-        slow = uniform_minimum_enum(xi, chain_.norm, bound)
+    sampled = _sample_indices(len(metrics) - 2, samples)
+    bounds = [metrics[k + 1] - 1 for k in sampled if metrics[k + 1] > 2]
+    if not bounds:
+        return []
+    fasts = [uniform_minimum(xi, chain_, bound) for bound in bounds]
+    oracle = oracle_chain(xi, chain_.norm, max(bounds))
+    records: list[dict] = []
+    for bound, fast in zip(bounds, fasts):
+        slow = uniform_minimum(xi, oracle, bound)
+        pair, pair_enum = (fast.pair.x, fast.pair.y), (slow.pair.x, slow.pair.y)
+        same = (fast.valuation, pair) == (slow.valuation, pair_enum)
         discrepancy = abs(fast.exponent - slow.exponent)
         records.append(
             {
                 "bound": bound,
                 "valuation": fast.valuation,
                 "valuation_enum": slow.valuation,
-                "pair": (fast.pair.x, fast.pair.y),
-                "pair_enum": (slow.pair.x, slow.pair.y),
+                "pair": pair,
+                "pair_enum": pair_enum,
                 "exponent": fast.exponent,
                 "exponent_enum": slow.exponent,
                 "discrepancy": discrepancy,
-                "ok": (
-                    fast.valuation == slow.valuation
-                    and (fast.pair.x, fast.pair.y) == (slow.pair.x, slow.pair.y)
-                    and discrepancy <= 1e-9
-                ),
+                "ok": same and discrepancy <= 1e-9,
             }
         )
     return records

@@ -13,10 +13,10 @@ continued-fraction walk per visited level for the product norm.
 The enumeration oracle, ``oracle_chain``, cross-validates those minimisers
 with a level search of its own.  Both chains assemble their minimisers
 through one routine, ``_records``, into the staircase of record pairs
-(strictly increasing heights and valuations).  Both box minima read a box
-off a chain's records through one rule, ``_box_minimum``: the uniform
-(min-over-a-box) side of the problem, ``uniform_minimum`` off the walk's
-chain and ``uniform_minimum_enum`` off the oracle chain cut at the box.
+(strictly increasing heights and valuations).  The uniform (min-over-a-box)
+side of the problem is ``uniform_minimum``, which reads a box off any chain
+that knows it: the walk's chain below its censored pair, or an oracle chain
+up to the box it searched, as ``uniform_minimum_enum`` does.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import decimal
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .core import (
     ApproxPair,
@@ -87,13 +87,22 @@ class BestApproxChain:
     level whose valuation the truncation censors (only a lower bound is
     known).  Every pair of valuation at least that level has at least its
     metric, so box minima are known below that metric and unknown from it
-    on.  A chain that met no censored pair knows nothing past its last entry.
+    on.
+
+    ``box`` is the bound an oracle search ran in (None on other chains).  A
+    level search comes back empty only past it, so an oracle chain holds
+    every record of metric <= ``box``, and it meets a censored pair exactly
+    when the box holds one (p^e times a censored pair with p not dividing y,
+    which lies in the box and on every level): it knows every box up to
+    ``box``.  A chain with neither knows nothing past its last entry.
+    Equality and repr ignore ``box``, which records how a chain was found.
     """
 
     p: int
     norm: str
     entries: tuple[ApproxPair, ...]
     censored: ApproxPair | None = None
+    box: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def precision_limited(self) -> bool:
@@ -441,10 +450,10 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
     and O(sqrt(L)) memory, plus one per candidate.  ``bound`` must be an int.
 
     :func:`_records` assembles the staircase, as for :func:`chain`, so the
-    two agree unless the per-level searches differ.  The staircase rules are
-    checked against two that share no code with the package: the tests'
-    sweep over the sorted metrics of every ladder candidate, and their crawl
-    over every level.
+    two agree unless the per-level searches differ; the chain records
+    ``bound`` as its ``box``.  The staircase rules are checked against two
+    that share no code with the package: the tests' sweep over the sorted
+    metrics of every ladder candidate, and their crawl over every level.
     """
     _require_norm(norm)
     _require_int_bound(bound)
@@ -465,7 +474,7 @@ def oracle_chain(xi: PAdicNumber, norm: str, bound: int) -> BestApproxChain:
             raise AssertionError("level search disagrees with the exact valuation")
         return pair
 
-    return _records(xi.p, norm, n, minimiser)
+    return replace(_records(xi.p, norm, n, minimiser), box=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +493,18 @@ class UniformWitness:
     exponent: float
 
 
-def _box_minimum(
-    xi: PAdicNumber, chain_: BestApproxChain, bound: int, empty: str
+def uniform_minimum(
+    xi: PAdicNumber, chain_: BestApproxChain, bound: int
 ) -> UniformWitness:
-    """The deepest p-power scaling of an entry of metric <= ``bound``.
+    """Exact minimum of |y*xi - x|_p over the box of size ``bound``.
 
-    Scalings compete under the key (deeper valuation, smaller metric,
-    smaller |x|, positive x, smaller y); ``empty`` is raised when no entry
-    is in the box.  Given every record of metric <= ``bound``, this is the
+    ``bound`` caps ``max(|x|, |y|)`` for the chain's classical norm and the
+    product ``|x * y|`` for its multiplicative norm; it must be an int.  The
+    chain must know the box: below its censored pair's metric, or else up to
+    its ``box`` (:class:`BestApproxChain`).  The minimiser is the deepest
+    p-power scaling of an entry of metric <= ``bound``; scalings compete
+    under the key (deeper valuation, smaller metric, smaller |x|, positive
+    x, smaller y).  Given every record of metric <= ``bound``, this is the
     box minimum: records beat all other pairs with p not dividing y and
     valuation >= 1, and no other pair wins.
 
@@ -502,7 +515,20 @@ def _box_minimum(
       p^m (or p^(2m)), so the box holds p^(m - 1) times the level-1 pair
       (y = 1, metric <= p), as deep or deeper, no larger and of smaller y.
     """
+    _require_int_bound(bound)
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
+    if chain_.p != xi.p:
+        raise ValueError("chain does not match the prime of the number")
     p, norm = xi.p, chain_.norm
+    if chain_.censored is not None:
+        if bound >= _pair_metric(chain_.censored, norm):
+            raise ValueError(
+                "bound too large for this precision: the box holds a censored pair"
+            )
+    elif chain_.box is None or bound > chain_.box:
+        past = "its last entry" if chain_.box is None else f"its box {chain_.box}"
+        raise ValueError(f"chain met no censored pair: boxes past {past} are unknown")
     base = p * p if norm == NORM_MULT else p
     keys = []
     for pair in chain_.entries:
@@ -513,7 +539,7 @@ def _box_minimum(
         size, y = abs(pair.x) * p**m, pair.y * p**m
         keys.append((-pair.val.value - m, metric * base**m, size, pair.x < 0, y))
     if not keys:
-        raise ValueError(empty)
+        raise ValueError("no nonzero pair: bound lies below the first chain height")
     neg_val, _, size, negative, y = min(keys)
     val = -neg_val
     pair = make_pair(xi, -size if negative else size, y)
@@ -523,52 +549,17 @@ def _box_minimum(
     return UniformWitness(norm, bound, val, pair, val * math.log(p) / log_height)
 
 
-def uniform_minimum(
-    xi: PAdicNumber, chain_: BestApproxChain, bound: int
-) -> UniformWitness:
-    """Exact minimum of |y*xi - x|_p over the box of size ``bound``.
-
-    ``bound`` caps ``max(|x|, |y|)`` for the chain's classical norm and the
-    product ``|x * y|`` for its multiplicative norm.  The minimiser is a
-    p-power scaling of a chain entry (:func:`_box_minimum`), so the chain
-    answers the query without enumeration.  That needs the chain to have
-    met its censored pair, and the box to stay below that pair's metric:
-    from there on the minimum is unknown.  ``bound`` must be an int.
-    """
-    _require_int_bound(bound)
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
-    if chain_.p != xi.p:
-        raise ValueError("chain does not match the prime of the number")
-    if chain_.censored is None:
-        raise ValueError(
-            "chain met no censored pair: boxes past its last entry are unknown"
-        )
-    if bound >= _pair_metric(chain_.censored, chain_.norm):
-        raise ValueError(
-            "bound too large for this precision: the box holds a censored pair"
-        )
-    return _box_minimum(xi, chain_, bound, "bound lies below the first chain height")
-
-
 def uniform_minimum_enum(xi: PAdicNumber, norm: str, bound: int) -> UniformWitness:
     """The same box minimum read off the oracle chain (no walk involved).
 
-    :func:`oracle_chain` searches the box once, and :func:`_box_minimum`
-    reads it.  That is exact: a level comes back empty only past ``bound``,
-    so the chain holds every record of metric <= ``bound``, and it meets a
-    censored pair exactly when the box holds one (p^e times a censored pair
-    with p not dividing y, which lies in the box and on every level), where
-    the minimum is unknown and this raises.  ``bound`` must be an int.
+    :func:`oracle_chain` searches the box once and records it, so
+    :func:`uniform_minimum` reads it exactly.  ``bound`` must be an int.
     """
     _require_norm(norm)
     _require_int_bound(bound)
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    oracle = oracle_chain(xi, norm, bound)
-    if oracle.censored is not None:
-        raise ValueError("bound too large for this precision: censored valuation met")
-    return _box_minimum(xi, oracle, bound, "no nonzero pair found inside the box")
+    return uniform_minimum(xi, oracle_chain(xi, norm, bound), bound)
 
 
 # ---------------------------------------------------------------------------

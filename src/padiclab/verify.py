@@ -228,9 +228,11 @@ def check_korollar(chain: BestApproxChain) -> CheckResult:
     passed = True
     worst: float | None = None
     worst_k: int | None = None
-    for e in chain.entries:
+    for k, e in enumerate(chain.entries):
         if not e.val.is_exact:
             raise ValueError("censored valuation inside a chain")
+        if k and e.height_sup <= chain.entries[k - 1].height_sup:
+            raise ValueError(f"chain entries {k - 1} and {k}: heights must increase")
     # Axis certificate: (0, p^m) has height p^m and valuation v_p(xi) + m;
     # entries bound v_p(xi) from below by min(v_p(x), v), exactly once the
     # chain valuations outgrow it.  Scalings start from that height-1 pair.

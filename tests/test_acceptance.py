@@ -303,7 +303,8 @@ def test_criterion_7_digit_surgery_pointwise():
         ok,
         f"surgery t=3/2 mu=6 on source precision {witness.zeta.precision}: "
         f"pointwise exponents {exponents} within 10% of (6, 9); "
-        f"{elapsed:.1f}s (< 600s)",
+        "the designed pairs imply (mu, mu_times) = (t*mu, 2*mu) = (9, 12), "
+        f"ratio 2/t = 4/3; {elapsed:.1f}s (< 600s)",
     )
     assert ok, line
 

@@ -22,6 +22,7 @@ from padiclab import (
     report_to_dict,
     save_report,
 )
+from padiclab import exponents, lattice
 from padiclab.exponents import REPORT_FORMAT, _sample_indices, burn_in_index, pointwise
 from conftest import seeded_xi
 
@@ -272,13 +273,29 @@ def test_sample_indices():
     assert _sample_indices(1, 1) == [1]
 
 
-def test_cross_check_uniform_agrees():
+def test_cross_check_uniform_agrees(monkeypatch):
+    searches = []
+
+    def counted(oracle_chain):
+        def search(*args):
+            searches.append(args)
+            return oracle_chain(*args)
+
+        return search
+
+    # Count oracle searches wherever the cross-check may reach them.
+    for module in (lattice, exponents):
+        if hasattr(module, "oracle_chain"):
+            monkeypatch.setattr(module, "oracle_chain", counted(module.oracle_chain))
     for p, precision, seed in ((2, 18, 61), (5, 10, 62)):
         xi = seeded_xi(p, precision, seed)
         for norm in (NORM_SUP, NORM_MULT):
             chain_ = chain(xi, norm)
-            records = cross_check_uniform(xi, chain_, samples=4)
+            searches.clear()
+            records = cross_check_uniform(xi, chain_, samples=5)
             assert records, "expected at least one sampled bound"
+            # One oracle search, in the largest box, answers every box.
+            assert [args[2] for args in searches] == [records[-1]["bound"]]
             assert all(record["ok"] for record in records)
             assert all(record["discrepancy"] <= 1e-9 for record in records)
             bounds = [record["bound"] for record in records]

@@ -874,9 +874,11 @@ def test_uniform_minimum_matches_enumeration_at_every_bound(p, seed, norm):
     scans every ladder candidate, checks that rule."""
     xi = short_number(p, seed, 128)
     chain_ = chain(xi, norm)
+    oracle = oracle_chain(xi, norm, xi.p**xi.precision)
     for bound in range(2, xi.p**xi.precision + 1):
         expected = witness_or_error(reference.uniform_minimum_enum, xi, norm, bound)
         assert witness_or_error(uniform_minimum, xi, chain_, bound) == expected
+        assert witness_or_error(uniform_minimum, xi, oracle, bound) == expected
         assert witness_or_error(uniform_minimum_enum, xi, norm, bound) == expected
 
 
@@ -916,6 +918,14 @@ def test_uniform_minimum_refuses_an_oracle_chain_cut_at_its_box(norm, box):
     assert uniform_minimum_enum(xi, norm, 5 * box).valuation > deepest
     with pytest.raises(ValueError, match="no censored pair"):
         uniform_minimum(xi, cut, 5 * box)
+    with pytest.raises(ValueError, match="no censored pair"):
+        uniform_minimum(xi, cut, box + 1)
+    # Up to its box the chain knows every box minimum.
+    for bound in range(2, box + 1):
+        assert witness_or_error(uniform_minimum, xi, cut, bound) == (
+            witness_or_error(uniform_minimum_enum, xi, norm, bound)
+        )
+    assert cut.box == box
 
 
 @pytest.mark.parametrize("p, num, den", [(2, -5, 11), (3, 22, 7), (5, 13, 17)])
@@ -1238,3 +1248,11 @@ def test_chain_repr_past_the_str_limit():
         f"BestApproxChain(p=2, norm='sup', entries=({pairs[0]!r}, {pairs[1]!r}), "
         f"censored={censored!r})"
     )
+    # The box an oracle chain was searched in shows neither in its repr nor
+    # in equality.
+    oracle = oracle_chain(xi, NORM_SUP, 40)
+    plain = BestApproxChain(2, NORM_SUP, oracle.entries, oracle.censored)
+    assert (oracle.box, plain.box) == (40, None)
+    assert oracle == plain
+    assert repr(oracle) == repr(plain)
+    assert "box" not in repr(oracle)

@@ -369,6 +369,12 @@ def test_korollar_rejects_wrong_inputs():
     )
     with pytest.raises(ValueError):
         check_korollar(censored)
+    # A first entry above the second would leave no scaling in the box.
+    unordered = synthetic_chain(
+        NORM_SUP, [pair(100, 1, 20), pair(5, 1, 1), pair(7, 3, 2)]
+    )
+    with pytest.raises(ValueError, match="entries 0 and 1: heights must increase"):
+        check_korollar(unordered)
     short = synthetic_chain(NORM_SUP, [pair(1, 1, 2)])
     assert check_korollar(short).passed is None
 
