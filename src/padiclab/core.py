@@ -29,9 +29,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Below this many digits the quadratic schoolbook conversion wins.
 _NAIVE_DIGIT_THRESHOLD = 128
 
-# Maps the ASCII bits "0"/"1" to the digit values 0/1, and back.
+# Maps the ASCII bits "0"/"1" to the digit values 0/1, and the digit
+# values 0-9 to their ASCII text.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 # Chunk sizes for decimal text, well inside CPython's 4300-digit limit on
 # int <-> str conversion (3000 digits; 9000 bits is about 2710 digits).
@@ -179,17 +180,17 @@ def mod_power(n: int, p: int, k: int) -> int:
 def digits_to_int(digits: Sequence[int], p: int) -> int:
     """Evaluate a little-endian base-p digit vector as an integer.
 
-    For p = 2 a list or tuple of 0/1 digits is read as one binary string.
-    Any other vector, one with a digit of 2 or more say, is evaluated digit
-    by digit, split in halves past 128 digits.
+    For p = 2 a bytes object, list or tuple of 0/1 digits is read as one
+    binary string.  Any other vector, one with a digit of 2 or more say, is
+    evaluated digit by digit, split in halves past 128 digits.
     """
-    if p == 2 and isinstance(digits, (list, tuple)):
+    if p == 2 and isinstance(digits, (bytes, list, tuple)):
         try:
             bits = bytes(digits)
         except (TypeError, ValueError):  # a digit that is no int in [0, 256)
             bits = b""
         if bits and not bits.translate(None, b"\x00\x01"):
-            return int(bits[::-1].translate(_BIT_TEXT), 2)
+            return int(bits[::-1].translate(_DIGIT_TEXT), 2)
     n = len(digits)
     if n <= _NAIVE_DIGIT_THRESHOLD:
         acc = 0
@@ -375,13 +376,29 @@ def from_value(p: int, value: int, precision: int) -> PAdicNumber:
 
 
 def from_digits(p: int, digits: Iterable[int]) -> PAdicNumber:
-    """Build a p-adic integer from explicit little-endian digits."""
-    digs = tuple(map(int, digits))
+    """Build a p-adic integer from explicit little-endian digits.
+
+    Every digit is read with ``int`` and must lie in [0, p).  A list or
+    tuple of digits below 256 is read in one pass as a ``bytes`` object,
+    whose range check is one ``translate``, and handed to
+    :func:`digits_to_int` as it is; other digits are read one by one.  Only
+    a digit out of range is looked for digit by digit, to name it.
+    """
+    try:
+        digs = bytes(digits) if isinstance(digits, (list, tuple)) else None
+    except (TypeError, ValueError):  # a digit that is no int in [0, 256)
+        digs = None
+    if digs is None:
+        digs = tuple(map(int, digits))
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not digs:
         raise ValueError("digit vector must be nonempty")
-    if min(digs) < 0 or max(digs) >= p:
+    if isinstance(digs, bytes):
+        out_of_range = digs.translate(None, bytes(range(min(p, 256))))
+    else:
+        out_of_range = min(digs) < 0 or max(digs) >= p
+    if out_of_range:
         i, d = next((i, d) for i, d in enumerate(digs) if not 0 <= d < p)
         raise ValueError(f"digit {d} at index {i} out of range [0, {p})")
     return PAdicNumber(p, len(digs), digits_to_int(digs, p))
@@ -481,28 +498,57 @@ def make_pair(xi: PAdicNumber, x: int, y: int) -> ApproxPair:
 
 
 def save_digit_file(xi: PAdicNumber, path: str | Path) -> None:
-    """Write the digit-vector JSON file for a p-adic number."""
-    payload = {
-        "format": DIGIT_FILE_FORMAT,
-        "p": xi.p,
-        "precision": xi.precision,
-        "digits": list(xi.digits),
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    """Write the digit-vector JSON file for a p-adic number.
+
+    The text is ``json.dumps`` of the object with keys ``format``, ``p``,
+    ``precision`` and ``digits``, plus a newline, built without a JSON list
+    of digits: the three scalar keys go through ``json.dumps``, and the
+    digits are written as one string joined by ", ".  Below p = 10 every
+    digit is one character: at p = 2 the reversed bit string of the residue
+    is their text, without forming :attr:`PAdicNumber.digits`, and at
+    p = 3, 5, 7 one ``translate`` of the digits' bytes gives it.  A larger
+    p dumps the digit tuple.
+    """
+    head = json.dumps({"format": DIGIT_FILE_FORMAT, "p": xi.p, "precision": xi.precision})
+    n = xi.precision
+    if xi.p < 10:
+        if xi.p == 2 and n:
+            text = format(mod_power(xi.value, 2, n), f"0{n}b")[::-1].encode()
+        else:
+            text = bytes(xi.digits).translate(_DIGIT_TEXT)
+        joined = bytearray(b"0, ") * n
+        joined[::3] = text
+        digits = joined[:-2].decode()
+    else:
+        digits = json.dumps(xi.digits)[1:-1]
+    Path(path).write_text(f'{head[:-1]}, "digits": [{digits}]}}\n', encoding="utf-8")
 
 
 def load_digit_file(path: str | Path) -> PAdicNumber:
-    """Read a digit-vector JSON file back into a PAdicNumber."""
+    """Read a digit-vector JSON file back into a PAdicNumber.
+
+    The file must be one JSON object with exactly the keys ``format``
+    (:data:`DIGIT_FILE_FORMAT`), ``p``, ``precision`` and ``digits``.  ``p``
+    and ``precision`` must be JSON integers and ``digits`` a list of JSON
+    integers: floats, strings and booleans are refused, even where ``int``
+    takes them.  :func:`from_digits` checks that p is prime and every digit
+    lies in [0, p), and the digit count must equal ``precision``.
+    """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed digit file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != DIGIT_FILE_FORMAT:
         raise ValueError(f"{path} is not a {DIGIT_FILE_FORMAT} file")
-    for key in ("p", "precision", "digits"):
+    keys = ("format", "p", "precision", "digits")
+    for key in keys[1:]:
         if key not in payload:
             raise ValueError(f"digit file {path} missing key {key!r}")
-    # JSON floats, strings and booleans are not digits, even where int() takes them.
+    unknown = sorted(payload.keys() - keys)
+    if unknown:
+        raise ValueError(
+            f"digit file {path} has unknown key(s) {', '.join(map(repr, unknown))}"
+        )
     digits = payload["digits"]
     if type(payload["p"]) is not int or type(payload["precision"]) is not int:
         raise ValueError(f"digit file {path}: p and precision must be integers")

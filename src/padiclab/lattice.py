@@ -590,44 +590,92 @@ def save_chain_csv(chain_: BestApproxChain, path: str) -> None:
             handle.write(f"{k},{x},{y},{pair.val.value},{flag},{sup},{mult}\r\n")
 
 
+def _csv_rows(handle) -> Iterator[list[str]]:
+    """The rows ``csv.reader(handle)`` gives, for a file opened with newline="".
+
+    In the default dialect a line without a quote is its cells split on
+    commas, so only a line with one goes to ``csv.reader``, which reads on
+    from the handle while a quoted cell holds a line break.  Lines are read
+    one at a time, never the whole file.
+    """
+    for line in handle:
+        if '"' in line:
+
+            def rest() -> Iterator[str]:
+                yield line
+                yield from handle
+
+            yield next(csv.reader(rest()))
+        else:
+            text = line.rstrip("\r\n")
+            yield text.split(",") if text else []
+
+
+def _parses(cell: str) -> bool:
+    try:
+        decimal_to_int(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_error(message: str, k: int, row: list[str], column: int) -> ValueError:
+    """A refusal naming the row's k and the cell, cut to 32 characters."""
+    name, cell = CHAIN_CSV_FIELDS[column], row[column][:32]
+    return ValueError(f"{message} at k = {k}, column {name!r}: {cell!r}")
+
+
 def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
     """Read chain entries back from CSV, validating every row.
+
+    Rows are read as ``csv.reader`` reads them.  Row k must have seven
+    cells, k in its ``k`` cell and ``true`` or ``false`` as its flag.  The
+    integer cells (k, x, y, valuation and the product height) follow
+    :func:`padiclab.core.decimal_to_int`'s one grammar; x must be nonzero,
+    y positive and the valuation nonnegative.  The sup height is accepted as
+    text when it equals the text of |x| or of y, whichever is larger;
+    otherwise it is parsed and compared with max(|x|, y) as an integer.
+    The product height is parsed and compared with |x|*y.  A refusal names
+    the row's k and the column, with its cell cut to 32 characters.
 
     The file stores neither the prime nor the norm; callers supply those
     when they rebuild a :class:`BestApproxChain` around the entries.
     """
     entries: list[ApproxPair] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        rows = _csv_rows(handle)
+        header = next(rows, None)
         if header is None or tuple(header) != CHAIN_CSV_FIELDS:
             raise ValueError(f"malformed chain CSV header in {path!r}")
-        for row in reader:
+        for row in rows:
+            index = len(entries)
             if len(row) != len(CHAIN_CSV_FIELDS):
-                raise ValueError(f"malformed chain CSV row {row!r}")
+                raise ValueError(
+                    f"malformed chain CSV row at k = {index}: {len(row)} cells, "
+                    f"expected {len(CHAIN_CSV_FIELDS)}"
+                )
             try:
-                k = int(row[0])
-                x = decimal_to_int(row[1])
-                y = decimal_to_int(row[2])
-                value = int(row[3])
-                height_sup = decimal_to_int(row[5])
+                k, x, y, value = map(decimal_to_int, row[:4])
                 height_mult_sq = decimal_to_int(row[6])
-            except ValueError as exc:
-                raise ValueError(f"malformed chain CSV row {row!r}") from exc
+                sup = max(abs(x), y)
+                larger = row[1].lstrip("+-") if abs(x) >= y else row[2]
+                height_sup = sup if row[5] == larger else decimal_to_int(row[5])
+            except ValueError:
+                column = next(c for c in (0, 1, 2, 3, 5, 6) if not _parses(row[c]))
+                raise _row_error("malformed chain CSV row", index, row, column) from None
             if row[4] not in ("true", "false"):
-                raise ValueError(f"malformed valuation_exact flag in {row!r}")
-            if k != len(entries):
-                raise ValueError(f"chain CSV rows out of order at {row!r}")
-            if x == 0 or y <= 0:
-                raise ValueError(f"invalid pair in chain CSV row {row!r}")
-            if height_sup != max(abs(x), y) or height_mult_sq != abs(x) * y:
-                raise ValueError(f"inconsistent heights in chain CSV row {row!r}")
-            val = (
-                Valuation.exact(value)
-                if row[4] == "true"
-                else Valuation.at_least(value)
-            )
-            entries.append(ApproxPair(x=x, y=y, val=val))
+                message = "malformed valuation_exact flag in chain CSV row"
+                raise _row_error(message, index, row, 4)
+            if k != index:
+                raise _row_error("chain CSV rows out of order", index, row, 0)
+            if x == 0 or y <= 0 or value < 0:
+                column = 1 if x == 0 else 2 if y <= 0 else 3
+                raise _row_error("invalid pair in chain CSV row", index, row, column)
+            if height_sup != sup or height_mult_sq != abs(x) * y:
+                column = 5 if height_sup != sup else 6
+                raise _row_error("inconsistent heights in chain CSV row", index, row, column)
+            exact = row[4] == "true"
+            entries.append(ApproxPair(x=x, y=y, val=Valuation(value, exact)))
     return tuple(entries)
 
 

@@ -17,16 +17,20 @@ built on it keeps its own convergent lists, and digit surgery edits the
 digit vector.  The Newton lift and the linear-form valuation reduce by
 ``%`` at every power of p, masks included.  The chain CSV saver writes
 through ``csv.writer`` and the loader parses every height cell and compares
-it as an integer.
+it as an integer.  The digit-file saver hands a list of digits to
+``json.dumps``, and the loader reads every digit with ``int`` and scans
+them for their range.
 Tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from fractions import Fraction
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 from padiclab import (
     ApproxPair,
@@ -42,7 +46,13 @@ from padiclab import (
     linear_form_valuation,
     make_pair,
 )
-from padiclab.core import decimal_to_int, int_to_decimal
+from padiclab.core import (
+    DIGIT_FILE_FORMAT,
+    decimal_to_int,
+    digits_to_int,
+    int_to_decimal,
+    is_prime,
+)
 from padiclab.lattice import CHAIN_CSV_FIELDS, _signed_residues
 from padiclab.walk import Vector, _height, _sup_key
 
@@ -683,10 +693,10 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
             if len(row) != len(CHAIN_CSV_FIELDS):
                 raise ValueError(f"malformed chain CSV row {row!r}")
             try:
-                k = int(row[0])
+                k = decimal_to_int(row[0])
                 x = decimal_to_int(row[1])
                 y = decimal_to_int(row[2])
-                value = int(row[3])
+                value = decimal_to_int(row[3])
                 height_sup = decimal_to_int(row[5])
                 height_mult_sq = decimal_to_int(row[6])
             except ValueError as exc:
@@ -695,10 +705,60 @@ def load_chain_entries(path: str) -> tuple[ApproxPair, ...]:
                 raise ValueError(f"malformed valuation_exact flag in {row!r}")
             if k != len(entries):
                 raise ValueError(f"chain CSV rows out of order at {row!r}")
-            if x == 0 or y <= 0:
+            if x == 0 or y <= 0 or value < 0:
                 raise ValueError(f"invalid pair in chain CSV row {row!r}")
             if height_sup != max(abs(x), y) or height_mult_sq != abs(x) * y:
                 raise ValueError(f"inconsistent heights in chain CSV row {row!r}")
             exact = row[4] == "true"
             entries.append(ApproxPair(x, y, Valuation(value, exact)))
     return tuple(entries)
+
+
+def from_digits_by_scan(p: int, digits: Iterable[int]) -> PAdicNumber:
+    """Read every digit with ``int``, then scan the tuple for its range."""
+    digs = tuple(map(int, digits))
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if not digs:
+        raise ValueError("digit vector must be nonempty")
+    if min(digs) < 0 or max(digs) >= p:
+        i, d = next((i, d) for i, d in enumerate(digs) if not 0 <= d < p)
+        raise ValueError(f"digit {d} at index {i} out of range [0, {p})")
+    return PAdicNumber(p, len(digs), digits_to_int(digs, p))
+
+
+def save_digit_file(xi: PAdicNumber, path: str | Path) -> None:
+    """Write the digit-vector JSON file for a p-adic number."""
+    payload = {
+        "format": DIGIT_FILE_FORMAT,
+        "p": xi.p,
+        "precision": xi.precision,
+        "digits": list(xi.digits),
+    }
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def load_digit_file(path: str | Path) -> PAdicNumber:
+    """Read a digit-vector JSON file back into a PAdicNumber."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed digit file {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != DIGIT_FILE_FORMAT:
+        raise ValueError(f"{path} is not a {DIGIT_FILE_FORMAT} file")
+    for key in ("p", "precision", "digits"):
+        if key not in payload:
+            raise ValueError(f"digit file {path} missing key {key!r}")
+    # JSON floats, strings and booleans are not digits, even where int() takes them.
+    digits = payload["digits"]
+    if type(payload["p"]) is not int or type(payload["precision"]) is not int:
+        raise ValueError(f"digit file {path}: p and precision must be integers")
+    if not isinstance(digits, list) or not set(map(type, digits)) <= {int}:
+        raise ValueError(f"digit file {path}: digits must be a list of integers")
+    xi = from_digits_by_scan(payload["p"], digits)
+    if xi.precision != payload["precision"]:
+        raise ValueError(
+            f"digit file {path} declares precision {payload['precision']} "
+            f"but carries {xi.precision} digits"
+        )
+    return xi

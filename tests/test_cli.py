@@ -329,11 +329,20 @@ def test_estimate_rejects_chain_too_short_for_burn_in(tmp_path, capsys):
 
 def test_approx_rejects_malformed_digit_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"format": "something-else"}\n')
-    assert run_cli(
-        "approx", "--xi", str(bad), "--norm", "sup", "-o", str(tmp_path / "c.csv")
-    ) == 2
-    assert "error:" in capsys.readouterr().err
+    for content, needle in (
+        ('{"format": "something-else"}\n', "is not a padic-digits-v1 file"),
+        (
+            '{"format": "padic-digits-v1", "p": 3, "precision": 2, '
+            '"digits": [1, 2], "prime": 3}\n',
+            "unknown key(s) 'prime'",
+        ),
+    ):
+        bad.write_text(content)
+        assert run_cli(
+            "approx", "--xi", str(bad), "--norm", "sup", "-o", str(tmp_path / "c.csv")
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err
 
 
 @pytest.mark.parametrize(
@@ -491,8 +500,8 @@ def test_estimate_refuses_negative_valuations(tmp_path, capsys):
         "-o", str(tmp_path / "report.json"),
     ) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "nonnegative valuations" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "invalid pair" in err
+    assert "column 'valuation': '-7'" in err and "Traceback" not in err
 
 
 def test_verify_output_file_is_optional(tmp_path, capsys):

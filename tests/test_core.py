@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import reference
 from padiclab import (
     ApproxPair,
+    PAdicNumber,
     Valuation,
     digits_to_int,
     from_digits,
@@ -323,6 +324,30 @@ def test_from_digits_names_the_first_digit_out_of_range(digits, message):
     assert str(info.value) == message
 
 
+def _outcome(function, *args):
+    """A function's result, or the type and message of the error it raised."""
+    try:
+        return function(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    p=st.sampled_from((1, 2, 3, 4, 7, 11, 251, 257)),
+    digits=st.lists(
+        st.one_of(st.integers(-2, 300), st.booleans(), st.sampled_from((1.0, "1"))),
+        max_size=300,
+    ),
+    container=st.sampled_from((list, tuple, iter)),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_digits_matches_the_scanning_reference(p, digits, container):
+    """Read in one pass or digit by digit, the same digits give the same
+    number or the same error."""
+    expected = _outcome(reference.from_digits_by_scan, p, container(digits))
+    assert _outcome(from_digits, p, container(digits)) == expected
+
+
 @given(
     p=st.sampled_from(PRIMES),
     n=st.integers(min_value=1, max_value=300),
@@ -581,6 +606,74 @@ def test_digit_file_round_trip(tmp_path):
     save_digit_file(xi, path)
     back = load_digit_file(path)
     assert back == xi
+
+
+# Payload edits that both digit-file loaders must read or refuse alike.
+_PAYLOAD_EDITS = {
+    "bool digit": lambda payload: payload["digits"].__setitem__(0, True),
+    "float digit": lambda payload: payload["digits"].__setitem__(-1, 1.0),
+    "string digit": lambda payload: payload["digits"].__setitem__(0, "0"),
+    "digit p": lambda payload: payload["digits"].__setitem__(-1, payload["p"]),
+    "negative digit": lambda payload: payload["digits"].__setitem__(0, -1),
+    "empty digits": lambda payload: payload.update(digits=[], precision=0),
+    "precision": lambda payload: payload.update(precision=payload["precision"] + 1),
+    "composite p": lambda payload: payload.update(p=2 * payload["p"]),
+    "float p": lambda payload: payload.update(p=float(payload["p"])),
+    "bool p": lambda payload: payload.update(p=True),
+}
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11, 13)),
+    precision=st.one_of(st.integers(1, 40), st.integers(4290, 4320)),
+    seed=st.integers(0, 10**6),
+    edit=st.sampled_from((None, *sorted(_PAYLOAD_EDITS))),
+)
+@example(p=2, precision=1, seed=0, edit=None)
+@example(p=13, precision=4301, seed=1, edit="digit p")
+@settings(max_examples=120, deadline=None)
+def test_digit_file_matches_the_json_list_reference(
+    tmp_path_factory, p, precision, seed, edit
+):
+    """``save_digit_file`` writes the bytes of ``json.dumps`` on a digit
+    list, and ``load_digit_file`` reads or refuses every edited payload as
+    the reference loader does."""
+    directory = tmp_path_factory.getbasetemp() / "digit-file-parity"
+    directory.mkdir(exist_ok=True)
+    path, reference_path = directory / "xi.json", directory / "reference.json"
+    xi = from_value(p, random.Random(seed).randrange(p**precision), precision)
+    save_digit_file(xi, path)
+    reference.save_digit_file(xi, reference_path)
+    assert path.read_bytes() == reference_path.read_bytes()
+    if edit is not None:
+        payload = json.loads(path.read_text())
+        _PAYLOAD_EDITS[edit](payload)
+        path.write_text(json.dumps(payload))
+    outcome = _outcome(load_digit_file, path)
+    assert outcome == _outcome(reference.load_digit_file, path)
+    assert (outcome == xi) == (edit is None)
+
+
+@pytest.mark.parametrize(
+    "xi",
+    [PAdicNumber(2, 0, 0), PAdicNumber(2, 3, 100), PAdicNumber(2, 4, -3), PAdicNumber(3, 3, 100)],
+    ids=["empty", "unreduced", "negative", "unreduced-p3"],
+)
+def test_digit_file_writes_the_digits_of_an_unreduced_residue(tmp_path, xi):
+    """The saver writes ``xi.digits``, the digits of the residue modulo
+    p^precision, even for a number built with a value outside [0, p^precision)."""
+    save_digit_file(xi, tmp_path / "xi.json")
+    reference.save_digit_file(xi, tmp_path / "reference.json")
+    assert (tmp_path / "xi.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_digit_file_refuses_unknown_keys(tmp_path):
+    path = tmp_path / "xi.json"
+    save_digit_file(from_digits(3, [1, 2, 0]), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "prime": 3}))
+    with pytest.raises(ValueError, match="unknown key.*'prime'"):
+        load_digit_file(path)
 
 
 def test_digit_file_rejects_malformed(tmp_path):

@@ -41,7 +41,7 @@ from padiclab import (
     Valuation,
 )
 from padiclab import lattice
-from padiclab.lattice import Scalings
+from padiclab.lattice import CHAIN_CSV_FIELDS, Scalings
 from padiclab.walk import SupWalk, best_mult_pair, reduce_basis, sup_search
 from conftest import NON_STAIRCASES, seeded_xi, write_chain_csv
 
@@ -989,13 +989,14 @@ def test_chain_csv_round_trip(tmp_path):
 
 
 def test_chain_csv_round_trip_past_the_str_limit(tmp_path):
-    # Python's int/str conversion stops at 4300 digits by default.
-    x = 7 * 10**9999 + 12345
-    pair = make_pair(from_digits(2, [1, 0, 1]), x, 3)
-    original = chain_from_entries(2, NORM_SUP, (pair,))
+    # Python's int/str conversion stops at 4300 digits by default, and
+    # csv.reader at cells of 131,072 characters, which the second pair's
+    # product height passes.
     path = tmp_path / "chain.csv"
-    save_chain_csv(original, path.as_posix())
-    assert load_chain_entries(path.as_posix()) == (pair,)
+    for x, y in ((7 * 10**9999 + 12345, 3), (7 * 10**65599 + 12345, 3 * 10**65599 + 1)):
+        pair = make_pair(from_digits(2, [1, 0, 1]), x, y)
+        save_chain_csv(chain_from_entries(2, NORM_SUP, (pair,)), path.as_posix())
+        assert load_chain_entries(path.as_posix()) == (pair,)
 
 
 def test_chain_from_entries_splits_censored_tail(tmp_path):
@@ -1069,7 +1070,7 @@ def _load_outcome(load, path):
         st.tuples(
             # Half the edits land on the last rows, where the long pairs are.
             st.one_of(st.integers(0, 10**6), st.integers(-4, -1)),
-            st.sampled_from((1, 2, 5, 6)),
+            st.sampled_from((0, 1, 2, 3, 5, 6)),
             st.sampled_from(sorted(_CELL_EDITS)),
         ),
         max_size=2,
@@ -1168,6 +1169,70 @@ def test_chain_csv_rejects_malformed(tmp_path, content):
         load_chain_entries(path.as_posix())
 
 
+def _long_pair_chain(rows: int, digits: int) -> BestApproxChain:
+    rng = random.Random(digits)
+    entries = [
+        ApproxPair(
+            -rng.randrange(10 ** (digits - 1), 10**digits),
+            rng.randrange(10 ** (digits - 1), 10**digits),
+            Valuation.exact(k),
+        )
+        for k in range(rows)
+    ]
+    return BestApproxChain(2, NORM_SUP, tuple(entries))
+
+
+@pytest.mark.parametrize(
+    "column, edit, phrase",
+    [
+        (1, lambda t: t + "a", "malformed chain CSV row"),
+        (4, lambda t: "maybe" * 600, "valuation_exact flag"),
+        (0, lambda t: "9" * 3000, "out of order"),
+        (2, lambda t: "-" + t, "invalid pair"),
+        (5, lambda t: t[:-1] + str((int(t[-1]) + 1) % 10), "inconsistent heights"),
+        (6, lambda t: t[:-1] + str((int(t[-1]) + 1) % 10), "inconsistent heights"),
+    ],
+    ids=["x", "flag", "k", "y", "height_sup", "height_mult_sq"],
+)
+def test_chain_csv_refusals_stay_short(tmp_path, column, edit, phrase):
+    """A corrupted 3,000-digit cell is named by the row's k and its column,
+    cut to 32 characters, not printed with its whole row."""
+    original = _long_pair_chain(3, 3000)
+    path = tmp_path / "chain.csv"
+    save_chain_csv(original, path.as_posix())
+    header, *lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[column] = edit(cells[column])
+    assert len(cells[column]) >= 3000
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(ValueError, match=phrase) as info:
+        load_chain_entries(path.as_posix())
+    message = str(info.value)
+    assert f"k = 1, column {CHAIN_CSV_FIELDS[column]!r}" in message
+    assert len(message) < 200
+
+
+def test_chain_csv_load_streams_its_rows(tmp_path):
+    """The loader reads line by line: its peak memory on a chain CSV of
+    more than 1 MB stays within 10 % of ``csv.reader``'s."""
+    path = tmp_path / "chain.csv"
+    save_chain_csv(_long_pair_chain(120, 2000), path.as_posix())
+    assert path.stat().st_size > 2**20
+    peaks = []
+    for load in (reference.load_chain_entries, load_chain_entries):
+        tracemalloc.start()
+        try:
+            entries = load(path.as_posix())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 120
+        del entries
+    reference_peak, peak = peaks
+    assert peak <= 1.1 * reference_peak
+
+
 @pytest.mark.parametrize("name", sorted(NON_STAIRCASES))
 def test_chain_from_entries_refuses_non_staircases(tmp_path, name):
     path = tmp_path / "bad.csv"
@@ -1195,14 +1260,25 @@ def test_chain_from_entries_refuses_a_contradicted_prime():
         chain_from_entries(3, NORM_SUP, entries)
 
 
-def test_chain_from_entries_refuses_negative_valuations(tmp_path):
+def test_chain_from_entries_refuses_negative_valuations():
     # Heights 3, 5, ..., 15 with valuations -7, ..., -1: a staircase otherwise.
-    path = tmp_path / "negative.csv"
-    write_chain_csv(path, [(2 * k + 3, 1, k - 7) for k in range(7)])
-    entries = load_chain_entries(path.as_posix())
+    entries = tuple(
+        ApproxPair(2 * k + 3, 1, Valuation.exact(k - 7)) for k in range(7)
+    )
     for norm in NORMS:
         with pytest.raises(ValueError, match="nonnegative valuations"):
             chain_from_entries(2, norm, entries)
+
+
+def test_chain_csv_refuses_negative_valuations(tmp_path):
+    """A negative valuation is an invalid pair, so ``check_padicle`` never
+    sees one through the loader."""
+    path = tmp_path / "negative.csv"
+    write_chain_csv(path, [(3, 1, 1), (5, 1, -9)])
+    with pytest.raises(ValueError, match="invalid pair.* k = 1, column 'valuation': '-9'"):
+        load_chain_entries(path.as_posix())
+    with pytest.raises(ValueError, match="invalid pair"):
+        reference.load_chain_entries(path.as_posix())
 
 
 def test_library_rejects_out_of_range_bounds_and_foreign_chains():
