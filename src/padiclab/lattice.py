@@ -217,9 +217,10 @@ def chain(xi: PAdicNumber, norm: str, max_level: int | None = None) -> BestAppro
     """Best-approximation chain of ``xi`` up to congruence level ``max_level``.
 
     The sup norm carries a reduced basis from level to level
-    (:class:`SupWalk`); the product norm runs the continued-fraction walk of
-    :func:`best_mult_pair` at each visited level, scoring only large-quotient
-    front pairs.  :func:`_records` assembles the staircase.
+    (:class:`SupWalk`); the product norm runs :func:`best_mult_pair` at each
+    visited level, with the unit part of xi (:func:`_unit_part`, one inverse
+    per chain) from which it recovers y.  :func:`_records` assembles the
+    staircase.
     """
     _require_norm(norm)
     if max_level is None:
@@ -229,9 +230,10 @@ def chain(xi: PAdicNumber, norm: str, max_level: int | None = None) -> BestAppro
             f"level must be in [1, {xi.precision}] for this truncation, got {max_level}"
         )
     if norm == NORM_MULT:
+        unit = _unit_part(xi)
 
         def minimiser(level: int) -> ApproxPair:
-            x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
+            x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level), unit)
             return make_pair(xi, x, y)
 
     else:
@@ -596,16 +598,22 @@ def _csv_rows(handle) -> Iterator[list[str]]:
     In the default dialect a line without a quote is its cells split on
     commas, so only a line with one goes to ``csv.reader``, which reads on
     from the handle while a quoted cell holds a line break.  Lines are read
-    one at a time, never the whole file.
+    one at a time, never the whole file.  ``csv.reader``'s own refusals (a
+    cell past its field size limit, say) become ValueError naming the row.
     """
-    for line in handle:
+    for k, line in enumerate(handle, -1):  # the header is k = -1
         if '"' in line:
 
             def rest() -> Iterator[str]:
                 yield line
                 yield from handle
 
-            yield next(csv.reader(rest()))
+            try:
+                row = next(csv.reader(rest()))
+            except csv.Error as error:
+                where = "header" if k < 0 else f"row at k = {k}"
+                raise ValueError(f"malformed chain CSV {where}: {error}") from None
+            yield row
         else:
             text = line.rstrip("\r\n")
             yield text.split(",") if text else []

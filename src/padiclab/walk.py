@@ -8,8 +8,9 @@ exact kernels compute it:
   level, and :func:`sup_search` picks the minimiser among b1, b2 and
   b2 - b1 (sup norm);
 * :func:`best_mult_pair` runs a continued-fraction walk on the level's
-  residue (product norm): it reads every partial quotient, and scores
-  only the front pairs whose quotient is near the largest admissible one.
+  residue (product norm): one ``divmod`` per Euclid step, on x alone, and
+  |y| recovered from the inverse of xi's unit part only for the front
+  pairs whose quotient is within 1 of the largest admissible one.
 """
 
 from __future__ import annotations
@@ -181,8 +182,14 @@ class SupWalk:
         return vector_pair(self.p, self.precision, self.level, vec)
 
 
-def best_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
+def best_mult_pair(
+    p: int, modulus: int, r: int, unit: tuple[int, int]
+) -> tuple[int, int]:
     """Product-minimal pair (x, y) with p not dividing y and x = y*r (mod modulus).
+
+    Here modulus = p^v, r = xi mod p^v for some xi = p^w * eta, eta a unit,
+    and ``unit`` is (w, eta^(-1) mod p^k) with k >= v - w, as
+    ``lattice._unit_part(xi)`` gives it; it is read only when r != 0.
 
     Continued-fraction walk on ``(modulus, 0), (r, 1)``.  Every front pair
     has determinant +-modulus, so its gcd is a power of p and p not
@@ -204,25 +211,49 @@ def best_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
     |a_y| <= |b_y| put D - q*P = c_x * |b_y| + b_x * |a_y| in [0, 2P).  So
     the admissible pair (p not dividing b_y) of largest quotient Q has
     P <= D/Q, and one with q <= Q - 2 has P > D/(q + 2) >= D/Q: it cannot
-    even tie.  Only pairs whose quotient is at least the largest admissible
-    one so far minus 1 are scored.  Ties are broken by smaller |x|, then
-    positive x, then smaller |y|; the returned pair is normalised to y > 0.
+    even tie.  Ties are broken by smaller |x|, then positive x, then smaller
+    |y|; the returned pair is normalised to y > 0.
+
+    The Euclid steps run on x alone, one ``divmod`` each, on modulus/p^w and
+    r/p^w (every x is a multiple of p^w; the quotients do not change), and
+    y is read off x.  Its sign alternates with the step parity from +1 at
+    (r, 1), as c_y = a_y - q*b_y with q >= 1.  As x = y*r (mod p^v) with
+    v > w, x has valuation w when p does not divide y and more otherwise,
+    so p does not divide y exactly when p does not divide x/p^w.  As
+    D >= a_x * |b_y| and a_x > b_x are multiples of p^w, |y| <= p^(v - w)/2,
+    so |y| is +-(x/p^w) * eta^(-1) reduced mod p^(v - w), signed as y.  By
+    the lemma the minimiser has q >= Q - 1: the admissible pairs with
+    q >= (largest admissible quotient so far) - 1 are kept as (q, x, sign),
+    and |y| is recovered only for those with q >= Q - 1.
     """
     if r == 0:
         return modulus, 1
 
-    best_key: tuple[int, int, int, int] | None = None
+    scale = p ** unit[0]
+    m = modulus // scale
+    a, b = m, r // scale
+    kept: list[tuple[int, int, int]] = []  # (q, x / p^w, sign of y)
     q_floor = -1  # largest admissible quotient so far, minus 1
-    ax, ay, bx, by = modulus, 0, r, 1
-    while bx:
-        q, cx = divmod(ax, bx)
-        if q >= q_floor and by % p:
+    while True:
+        q, a = divmod(a, b)  # b's quotient; y > 0 at b
+        if q >= q_floor and b % p:
             q_floor = max(q_floor, q - 1)
-            key = (bx * abs(by), bx, 0 if by > 0 else 1, abs(by))
-            best_key = key if best_key is None else min(best_key, key)
-        ax, ay, bx, by = bx, by, cx, ay - q * by
+            kept.append((q, b, 1))
+        if not a:
+            break
+        q, b = divmod(b, a)  # a's quotient; y < 0 at a
+        if q >= q_floor and a % p:
+            q_floor = max(q_floor, q - 1)
+            kept.append((q, a, -1))
+        if not b:
+            break
 
-    if best_key is None:  # unreachable: the last front pair qualifies
-        raise AssertionError("front walk produced no candidate")
-    _, x, negative, y = best_key
-    return -x if negative else x, y
+    def mod_m(t: int) -> int:  # a bit mask at p = 2, as in core.mod_power
+        return t & (m - 1) if p == 2 else t % m
+
+    inverse = mod_m(unit[1])
+    finalists = [
+        (x, mod_m(sign * x * inverse), sign) for q, x, sign in kept if q >= q_floor
+    ]
+    _, x, negative, y = min((x * y, x, sign < 0, y) for x, y, sign in finalists)
+    return (-x if negative else x) * scale, y

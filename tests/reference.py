@@ -3,7 +3,9 @@
 Each function is the implementation the package used before its current
 algorithm: the candidate-set continued-fraction walk for per-level
 minimisers, the product walk that scores every admissible front pair
-behind a bit-length prefilter, the sup search that scores the floors and
+behind a bit-length prefilter, the product walk that carries the y
+cofactor through every Euclid step and scores the large-quotient front
+pairs as it meets them, the sup search that scores the floors and
 ceilings of the kinks of a reduced basis, digit extraction by one divmod
 per digit, the chunked valuation loop and the list scan for the product
 chain's required valuation, and the enumeration oracle and box minimum that
@@ -154,6 +156,53 @@ def front_walk_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
     if best_key is None:  # unreachable: the last front pair qualifies
         raise AssertionError("front walk produced no candidate")
     return best_xy
+
+
+def cofactor_walk_mult_pair(p: int, modulus: int, r: int) -> tuple[int, int]:
+    """Product-minimal pair (x, y) with p not dividing y and x = y*r (mod modulus).
+
+    Continued-fraction walk on ``(modulus, 0), (r, 1)``.  Every front pair
+    has determinant +-modulus, so its gcd is a power of p and p not
+    dividing y already forces coprimality.  Only front pairs are scored.
+    Between successive front pairs a and c = a - q*b, a pair a - j*b with
+    0 < j < q has x >= b_x and |y| >= |b_y|, so it cannot beat b when b
+    qualifies (its one tie, (modulus - r, -1) when modulus = 2r, loses on
+    the sign).  When p divides b_y, a and c qualify, as successive front
+    denominators are coprime and c_y = a_y (mod p), and the product
+    |x(j) * y(j)| is strictly concave in j, so it exceeds the smaller of
+    their products.  (The last front pair, (b_x, y) with b_x the p-part of
+    r, has y*r/b_x = 1 modulo a power of p, so it always qualifies next to
+    the closing pair with x = 0.)
+
+    Lemma: a front pair b with predecessor a, next quotient
+    q = floor(a_x / b_x) and P = b_x * |b_y| has q*P <= D < (q + 2)*P for
+    D = modulus.  Proof: front denominators alternate in sign, so
+    D = a_x * |b_y| + b_x * |a_y|; a_x = q*b_x + c_x with 0 <= c_x < b_x and
+    |a_y| <= |b_y| put D - q*P = c_x * |b_y| + b_x * |a_y| in [0, 2P).  So
+    the admissible pair (p not dividing b_y) of largest quotient Q has
+    P <= D/Q, and one with q <= Q - 2 has P > D/(q + 2) >= D/Q: it cannot
+    even tie.  Only pairs whose quotient is at least the largest admissible
+    one so far minus 1 are scored.  Ties are broken by smaller |x|, then
+    positive x, then smaller |y|; the returned pair is normalised to y > 0.
+    """
+    if r == 0:
+        return modulus, 1
+
+    best_key: tuple[int, int, int, int] | None = None
+    q_floor = -1  # largest admissible quotient so far, minus 1
+    ax, ay, bx, by = modulus, 0, r, 1
+    while bx:
+        q, cx = divmod(ax, bx)
+        if q >= q_floor and by % p:
+            q_floor = max(q_floor, q - 1)
+            key = (bx * abs(by), bx, 0 if by > 0 else 1, abs(by))
+            best_key = key if best_key is None else min(best_key, key)
+        ax, ay, bx, by = bx, by, cx, ay - q * by
+
+    if best_key is None:  # unreachable: the last front pair qualifies
+        raise AssertionError("front walk produced no candidate")
+    _, x, negative, y = best_key
+    return -x if negative else x, y
 
 
 def kink_sup_search(p: int, b1: Vector, b2: Vector) -> Vector:

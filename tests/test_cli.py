@@ -504,6 +504,24 @@ def test_estimate_refuses_negative_valuations(tmp_path, capsys):
     assert "column 'valuation': '-7'" in err and "Traceback" not in err
 
 
+def test_estimate_refuses_a_quoted_cell_past_the_csv_field_limit(tmp_path, capsys):
+    # csv.reader refuses a quoted cell of more than 131,072 characters.
+    chain_csv = tmp_path / "q.csv"
+    chain_csv.write_text(
+        "k,x,y,valuation,valuation_exact,height_sup,height_mult_sq\r\n"
+        "0,1,1,1,true,1,1\r\n"
+        + '1,3,1,2,true,3,"' + "3" * 140_000 + '"\r\n',
+        newline="",
+    )
+    assert run_cli(
+        "estimate", "--chain", str(chain_csv), "--p", "2", "--norm", "sup",
+        "-o", str(tmp_path / "r.json"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed chain CSV row at k = 1" in err
+    assert "field larger than field limit" in err and "Traceback" not in err
+
+
 def test_verify_output_file_is_optional(tmp_path, capsys):
     report_json = _tiny_report(tmp_path)
     before = set(tmp_path.iterdir())

@@ -82,7 +82,8 @@ def sup_at_level(xi, level):
 
 
 def mult_at_level(xi, level):
-    x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level))
+    unit = lattice._unit_part(xi)
+    x, y = best_mult_pair(xi.p, xi.p**level, residue(xi, level), unit)
     return make_pair(xi, x, y)
 
 
@@ -213,17 +214,26 @@ def mult_kernel_inputs(draw):
 @example(triple=(7, 7**4, 198))
 @settings(max_examples=300, deadline=None)
 def test_mult_kernel_matches_front_walk_reference(triple):
-    """Scoring only the large-quotient front pairs changes no minimiser."""
-    assert best_mult_pair(*triple) == reference.front_walk_mult_pair(*triple)
+    """Running the Euclid steps on x alone and scoring only the
+    large-quotient front pairs changes no minimiser: the kernel agrees with
+    the y-cofactor walk and with the walk that scores every front pair.
+    The unit part comes from a number of twice the level's precision, as a
+    chain's does."""
+    p, modulus, r = triple
+    unit = lattice._unit_part(from_value(p, r * (1 + modulus), 2 * ilog(modulus, p)))
+    expected = reference.front_walk_mult_pair(*triple)
+    assert reference.cofactor_walk_mult_pair(*triple) == expected
+    assert best_mult_pair(*triple, unit) == expected
 
 
 def front_pairs(modulus, r):
-    """(b_x, b_y, q) for each front pair of the walk on (modulus, 0), (r, 1)
-    with b_x != 0, q being its next partial quotient."""
+    """(b_x, b_y, q, a_x) for each front pair of the walk on (modulus, 0),
+    (r, 1) with b_x != 0, q being its next partial quotient and a_x the x
+    of its predecessor."""
     ax, ay, bx, by = modulus, 0, r, 1
     while bx:
         q = ax // bx
-        yield bx, by, q
+        yield bx, by, q, ax
         ax, ay, bx, by = bx, by, ax - q * bx, ay - q * by
 
 
@@ -232,12 +242,27 @@ def front_pairs(modulus, r):
 @settings(max_examples=200, deadline=None)
 def test_front_pair_quotient_bound(triple):
     """q*P <= D < (q + 2)*P for every front pair, and the reference's
-    minimiser has a quotient within 1 of the largest admissible one."""
+    minimiser has a quotient within 1 of the largest admissible one.
+
+    The facts the x-only kernel reads y from, for r = p^w * eta, eta a
+    unit: y is +1 at (r, 1) and alternates in sign; |y| < p^(v - w), as
+    D >= a_x * |y| and a_x >= 2p^w; p does not divide y exactly when
+    v_p(x) = w; and |y| = +-(x/p^w) * eta^(-1) mod p^(v - w), signed as y."""
     p, modulus, r = triple
     quotients = {}
-    for bx, by, q in front_pairs(modulus, r):
+    if r:  # r = 0 has no front pair
+        w = pval(r, p)
+        unit_modulus = modulus // p**w
+        inverse = pow(r // p**w, -1, unit_modulus)
+    for index, (bx, by, q, ax) in enumerate(front_pairs(modulus, r)):
         product = bx * abs(by)
         assert q * product <= modulus < (q + 2) * product
+        sign = -1 if index % 2 else 1
+        assert by == 1 if index == 0 else by * sign > 0
+        assert modulus >= ax * abs(by) and ax >= 2 * p**w
+        assert abs(by) < unit_modulus
+        assert (by % p != 0) == (pval(bx, p) == w)
+        assert abs(by) == sign * (bx // p**w) * inverse % unit_modulus
         if by % p:
             quotients[bx] = q
     x, _ = reference.front_walk_mult_pair(p, modulus, r)
@@ -252,9 +277,16 @@ def test_dense_mult_chains_match_front_walk_reference(monkeypatch):
         build_digit_rule(2, "random", 1024, seed=1),
         build_digit_rule(3, "random", 512, seed=1),
         build_digit_rule(2, "thue-morse", 2048),
+        build_digit_rule(5, "random", 256, seed=1),
+        # Divisible by p^(n/4): the walk runs on the residues over p^w.
+        from_digits(3, [0] * 128 + [1] + _random_digits(3, 383, 2)),
     )
     fast = [chain(xi, NORM_MULT) for xi in numbers]
-    monkeypatch.setattr(lattice, "best_mult_pair", reference.front_walk_mult_pair)
+
+    def front_walk(p, modulus, r, unit):
+        return reference.front_walk_mult_pair(p, modulus, r)
+
+    monkeypatch.setattr(lattice, "best_mult_pair", front_walk)
     for xi, result in zip(numbers, fast):
         slow = chain(xi, NORM_MULT)
         assert result == slow
